@@ -394,18 +394,6 @@ TRANSFERS: Dict[str, Transfer] = {
         forbid_aug=True,
         always_produces=False,
     ),
-    "pack_two_lwes": Transfer(
-        subject="arg0",
-        forbid_needs_rescale=True,
-        forbid_aug=True,
-        always_produces=False,
-    ),
-    "pack_lwes_batched": Transfer(
-        subject="arg0",
-        forbid_needs_rescale=True,
-        forbid_aug=True,
-        always_produces=False,
-    ),
     "pack_stacked_lwes": Transfer(
         subject="arg0",
         forbid_needs_rescale=True,
@@ -441,8 +429,6 @@ TRANSFERS: Dict[str, Transfer] = {
 #: (not just arg0) is checked, because the LWE stacks come in pairs
 _CHECK_ALL_ARGS = {
     "pack_lwes",
-    "pack_two_lwes",
-    "pack_lwes_batched",
     "pack_stacked_lwes",
     "pack_stacked_lwes_many",
     "decrypt",

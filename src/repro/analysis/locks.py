@@ -1,7 +1,7 @@
 """Lock-order and worker-thread concurrency analysis (REPRO210/211).
 
 The serving stack now holds real locks across real thread pools: the
-batched engine fans row tiles out over a ``ThreadPoolExecutor`` while
+server runs each engine's batches on a ``ThreadPoolExecutor`` while
 every worker funnels through :class:`EncodedMatrixCache`'s lock, the
 tracer and metrics registry serialize appends from all of them, and the
 cluster layer migrates cache entries between nodes.  Nothing checked

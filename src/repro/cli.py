@@ -292,10 +292,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     matrix = rng.integers(-40, 40, (args.rows, params.n))
     cache = EncodedMatrixCache()
     BatchedHmvp(scheme, matrix, cache=cache)  # cold: encodes, cache miss
-    engine = BatchedHmvp(
-        scheme, matrix, cache=cache, workers=args.workers
-    )  # warm: cache hit
-    queue = BatchQueue(engine, workers=args.workers)
+    engine = BatchedHmvp(scheme, matrix, cache=cache)  # warm: cache hit
+    queue = BatchQueue(engine)
     vectors = [rng.integers(-40, 40, params.n) for _ in range(args.batch)]
     for v in vectors:
         queue.submit(scheme.encrypt_vector(v))
@@ -867,7 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--rows", type=int, default=8)
     batch.add_argument("--batch", type=int, default=8)
-    batch.add_argument("--workers", type=int, default=2)
     batch.add_argument("--seed", type=int, default=0)
     batch.add_argument("--json", action="store_true",
                        help="dump results + metrics snapshot as JSON")

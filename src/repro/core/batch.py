@@ -14,18 +14,18 @@ simultaneously").  This module serves that shape:
 * :class:`EncodedMatrixCache` — a thread-safe LRU over fingerprints, so
   repeat engines for the same matrix skip encoding entirely
   (``batch.cache.hit`` / ``batch.cache.miss`` counters);
-* :class:`BatchedHmvp` — hoists each vector ciphertext's forward NTT
-  once per request, runs every row of a tile through one vectorized
-  dot/rescale/extract pass, aggregates partial LWEs across column tiles,
-  and emits a *single* batched pack per row tile; batches fan row-tile
-  work across a ``concurrent.futures`` worker pool;
+* :class:`BatchedHmvp` — the one HMVP engine: hoists each vector
+  ciphertext's forward NTT once per request, runs every row of a tile
+  for every request of a batch through one vectorized
+  dot/INTT/rescale/extract kernel, aggregates partial LWEs across column
+  tiles, and emits one batched pack per row tile;
 * :class:`BatchQueue` — ``submit``/``drain`` request queue that maps a
   drained batch onto :class:`repro.hw.runtime.JobScheduler` engines so
   the simulator prices the batched schedule.
 
-Functionally everything is exact (bit-identical to the per-call
-:func:`repro.core.hmvp.hmvp` path); the op-count deltas feed the
-performance model and ``benchmarks/bench_batch.py``.
+Functionally everything is exact (bit-identical per RNS limb to the
+per-row Algorithm 1 reference in ``tests/oracles/``); the op-count
+deltas feed the performance model and ``benchmarks/bench_batch.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from .. import obs
 from ..he.bfv import BfvScheme
-from ..he.packing import PackedResult, pack_stacked_lwes, pack_stacked_lwes_many
+from ..he.packing import pack_stacked_lwes, pack_stacked_lwes_many
 from ..he.params import CheParams
 from ..he.rlwe import RlweCiphertext
 from ..hw.runtime import Job, JobScheduler, QueueReport
@@ -88,6 +87,15 @@ def matrix_fingerprint(
     else:
         h.update(np.ascontiguousarray(arr.astype(np.int64)).tobytes())
     return h.hexdigest()
+
+
+def _resolve_tile_rows(tile_rows: Optional[int], ring: int) -> int:
+    """Rows per row tile: ``None`` means the ring degree ``N``."""
+    if tile_rows is None:
+        return ring
+    if not 1 <= tile_rows <= ring:
+        raise ValueError(f"tile_rows {tile_rows} must be in 1..ring degree {ring}")
+    return tile_rows
 
 
 def _encode_rows_eq1(block: np.ndarray, n: int, t: int) -> np.ndarray:
@@ -156,9 +164,11 @@ class EncodedMatrix:
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
+        if matrix.size == 0:
+            raise ValueError(f"nothing to pack: empty {matrix.shape} matrix")
         m, n_cols = matrix.shape
         ring = scheme.params.n
-        tile_rows = min(tile_rows or ring, ring)
+        tile_rows = _resolve_tile_rows(tile_rows, ring)
         ctx = scheme.ctx
         aug = ctx.aug_basis
         t = scheme.params.plain_modulus
@@ -211,8 +221,7 @@ class EncodedMatrixCache:
         entry between node caches (install under the same key on the
         destination) without ever re-running the encode.
         """
-        ring = scheme.params.n
-        effective_tile = min(tile_rows or ring, ring)
+        effective_tile = _resolve_tile_rows(tile_rows, scheme.params.n)
         return matrix_fingerprint(matrix, scheme.params, effective_tile)
 
     def peek(self, key: str) -> Optional[EncodedMatrix]:
@@ -295,20 +304,22 @@ def encode_matrix(
 class BatchedHmvp:
     """Apply one plaintext matrix to many encrypted vectors.
 
+    The single HMVP engine: :func:`repro.core.hmvp.hmvp` and
+    :class:`repro.core.hmvp.TiledHmvp` are thin wrappers over it.
+
     Parameters
     ----------
     scheme:
         The HE scheme (keys included).
     matrix:
-        ``(m, n_cols)`` with ``m <= N``; ``n_cols`` may exceed the ring
-        degree, in which case requests supply one vector ciphertext per
-        column tile (see :meth:`multiply_tiles`).
+        ``(m, n_cols)``, any shape: rows are cut into row tiles of at
+        most ``N`` (one pack each) and columns into ``ceil(n_cols / N)``
+        column tiles, in which case requests supply one vector
+        ciphertext per column tile (see :meth:`multiply_tiles`).
     cache:
         Encoded-matrix cache; defaults to the module :data:`MATRIX_CACHE`.
     tile_rows:
-        Rows per row tile (defaults to all rows: one pack per request).
-    workers:
-        Default worker-pool width for :meth:`multiply_batch`.
+        Rows per row tile, in ``1..N`` (default ``N``).
     """
 
     def __init__(
@@ -318,20 +329,12 @@ class BatchedHmvp:
         *,
         cache: Optional[EncodedMatrixCache] = None,
         tile_rows: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self.scheme = scheme
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
-        m, _n_cols = matrix.shape
-        if m > scheme.params.n:
-            raise ValueError(
-                "BatchedHmvp covers single-tile row counts "
-                f"(m={m} > ring degree {scheme.params.n})"
-            )
         self.matrix = matrix
-        self.workers = workers
         self.encoded = encode_matrix(
             scheme, matrix, cache=cache, tile_rows=tile_rows
         )
@@ -343,147 +346,75 @@ class BatchedHmvp:
 
     # -- per-request kernels ---------------------------------------------------
 
-    def _hoist(
-        self, ct: RlweCiphertext
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Forward NTT of the vector ciphertext, computed once per request."""
-        if not ct.is_augmented:
-            raise ValueError("vector ciphertext must be augmented")
-        with obs.span("batch.hoist", limbs=len(ct.basis)):
-            return ct.ntt_components()
+    def _hoist(self, cts: Sequence[RlweCiphertext]) -> np.ndarray:
+        """Forward NTT of ``R`` vector ciphertexts, once per request.
 
-    def _tile_partial(
-        self,
-        tile_ntt: np.ndarray,
-        hoisted: "tuple[np.ndarray, np.ndarray]",
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """All rows of one tile through dot/rescale/extract in one pass.
-
-        Returns the stacked partial LWEs ``(b (L, rows), a (L, rows, n))``
-        — exactly what :func:`pack_stacked_lwes` consumes.
+        Returns the stacked components ``(L_aug, 2, R, n)``.
         """
         ctx = self.scheme.ctx
         aug = ctx.aug_basis
-        ct_basis = ctx.ct_basis
-        c0n, c1n = hoisted
-        rows = tile_ntt.shape[1]
-        with obs.span("batch.dot", rows=rows):
-            with obs.span("batch.modmul", rows=rows, limbs=len(aug)):
-                # both components against every row in one broadcast
-                # pass: (L_aug, 1, rows, n) x (L_aug, 2, 1, n)
-                aug_col = aug.modulus_column.reshape(-1, 1, 1, 1)
-                comp = np.stack([c0n, c1n], axis=1)  # (L_aug, 2, n)
-                prods = modmul_vec(
-                    tile_ntt[:, np.newaxis], comp[:, :, np.newaxis, :], aug_col
-                )
-            with obs.span("batch.intt", rows=rows, limbs=len(aug)):
-                d = ctx.intt_limbs(prods, aug)
-            with obs.span("batch.rescale_extract", rows=rows):
-                r = aug.rescale_last(d)  # (L, 2, rows, n)
-                r0, r1 = r[:, 0], r[:, 1]
-                # vectorized EXTRACTLWES at index 0: b = c0[..0];
-                # a[0] = c1[..0], a[j] = -c1[..n-j] for j >= 1
-                b = np.ascontiguousarray(r0[:, :, 0])
-                a = np.empty_like(r1)
-                a[..., 0] = r1[..., 0]
-                ct_col = ct_basis.modulus_column.reshape(-1, 1, 1)
-                a[:, :, 1:] = modneg_vec(r1[:, :, :0:-1], ct_col)
-        return b, a
-
-    def _row_tile_partial(
-        self,
-        rt: int,
-        hoisted_tiles: Sequence["tuple[np.ndarray, np.ndarray]"],
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """One row tile of one request: per-column-tile partials -> aggregate.
-
-        Returns the column-aggregated stacked LWEs ``(b (L, rows),
-        a (L, rows, n))`` for row tile ``rt`` — the merge payload the
-        cluster layer (:mod:`repro.cluster`) ships between nodes.
-        """
-        ct_basis = self.scheme.ctx.ct_basis
-        agg_b: Optional[np.ndarray] = None
-        agg_a: Optional[np.ndarray] = None
-        for ct_idx in range(self.encoded.col_tiles):
-            b, a = self._tile_partial(
-                self.encoded.tiles[(rt, ct_idx)], hoisted_tiles[ct_idx]
-            )
-            if agg_b is None:
-                agg_b, agg_a = b, a
-            else:
-                # aggregate partial dot products as LWEs (cheap additions)
-                col = ct_basis.modulus_column
-                agg_b = modadd_vec(agg_b, b, col.reshape(-1, 1))
-                agg_a = modadd_vec(agg_a, a, col.reshape(-1, 1, 1))
-        return agg_b, agg_a
-
-    def _row_tile_pack(
-        self,
-        rt: int,
-        hoisted_tiles: Sequence["tuple[np.ndarray, np.ndarray]"],
-    ) -> PackedResult:
-        """One row tile of one request: partials -> aggregate -> pack."""
-        ctx = self.scheme.ctx
-        agg_b, agg_a = self._row_tile_partial(rt, hoisted_tiles)
-        with obs.span("batch.pack", rows=agg_b.shape[1], row_tile=rt):
-            return pack_stacked_lwes(
-                ctx, ctx.ct_basis, agg_b, agg_a, self.scheme.galois_keys
-            )
-
-    def _fused_batch_pack(
-        self, cts: Sequence[RlweCiphertext]
-    ) -> List[List[PackedResult]]:
-        """Every request of a single-column-tile batch in lock-step.
-
-        Stacks all ``R`` requests along a batch axis and drives the
-        whole pipeline — hoist NTT, dot, inverse NTT, rescale, extract,
-        pack — as fused ``(L, ..., R, ..., n)`` kernels: each stage runs
-        *once* per row tile instead of once per request, which is where
-        the warm-path wall time goes at CHAM's ring sizes (interpreter
-        dispatch, not arithmetic).  Bit-identical per request to the
-        per-request path.  Returns ``results[request][row_tile]``.
-        """
-        ctx = self.scheme.ctx
-        aug = ctx.aug_basis
-        ct_basis = ctx.ct_basis
-        reqs = len(cts)
         for ct in cts:
             if not ct.is_augmented:
                 raise ValueError("vector ciphertext must be augmented")
-        with obs.span("batch.hoist", limbs=len(aug), requests=reqs):
+        with obs.span("NTT", limbs=len(aug), requests=len(cts)):
             c0n = ctx.ntt_limbs(np.stack([ct.c0 for ct in cts], axis=1), aug)
             c1n = ctx.ntt_limbs(np.stack([ct.c1 for ct in cts], axis=1), aug)
-        comp = np.stack([c0n, c1n], axis=1)  # (L_aug, 2, R, n)
-        out: List[List[PackedResult]] = [[] for _ in range(reqs)]
-        for rt in range(self.encoded.row_tiles):
-            tile_ntt = self.encoded.tiles[(rt, 0)]
-            rows = tile_ntt.shape[1]
-            with obs.span("batch.dot", rows=rows, requests=reqs):
-                with obs.span("batch.modmul", rows=rows, limbs=len(aug)):
-                    # (L_aug, 1, 1, rows, n) x (L_aug, 2, R, 1, n)
-                    aug_col = aug.modulus_column.reshape(-1, 1, 1, 1, 1)
-                    prods = modmul_vec(
-                        tile_ntt[:, np.newaxis, np.newaxis],
-                        comp[..., np.newaxis, :],
-                        aug_col,
-                    )
-                with obs.span("batch.intt", rows=rows, limbs=len(aug)):
-                    d = ctx.intt_limbs(prods, aug)
-                with obs.span("batch.rescale_extract", rows=rows):
-                    r = aug.rescale_last(d)  # (L, 2, R, rows, n)
-                    r0, r1 = r[:, 0], r[:, 1]
-                    b = np.ascontiguousarray(r0[..., 0])  # (L, R, rows)
-                    a = np.empty_like(r1)  # (L, R, rows, n)
-                    a[..., 0] = r1[..., 0]
-                    ct_col = ct_basis.modulus_column.reshape(-1, 1, 1, 1)
-                    a[..., 1:] = modneg_vec(r1[..., :0:-1], ct_col)
-            with obs.span("batch.pack", rows=rows, row_tile=rt, requests=reqs):
-                packs = pack_stacked_lwes_many(
-                    ctx, ct_basis, b, a, self.scheme.galois_keys
+            return np.stack([c0n, c1n], axis=1)
+
+    def _dot_extract(
+        self, tile_ntt: np.ndarray, comp: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Every row of one tile against ``R`` requests in one pass.
+
+        Pipeline stages 1-4 (dot, INTT, rescale, extract) over the
+        ``(L_aug, rows, n)`` tile and the hoisted ``(L_aug, 2, R, n)``
+        components.  Returns the stacked partial LWEs ``(b (L, R, rows),
+        a (L, R, rows, n))``, exactly what the pack tree consumes.
+        """
+        ctx = self.scheme.ctx
+        aug = ctx.aug_basis
+        rows = tile_ntt.shape[1]
+        with obs.span("batch.dot", rows=rows, requests=comp.shape[2]):
+            with obs.span("MULTPOLY", rows=rows, limbs=len(aug)):
+                # (L_aug, 1, 1, rows, n) x (L_aug, 2, R, 1, n)
+                aug_col = aug.modulus_column.reshape(-1, 1, 1, 1, 1)
+                prods = modmul_vec(
+                    tile_ntt[:, np.newaxis, np.newaxis],
+                    comp[..., np.newaxis, :],
+                    aug_col,
                 )
-            for ri in range(reqs):
-                out[ri].append(packs[ri])
-        return out
+            with obs.span("INTT", rows=rows, limbs=len(aug)):
+                d = ctx.intt_limbs(prods, aug)
+            with obs.span("RESCALE+EXTRACT", rows=rows):
+                r = aug.rescale_last(d)  # (L, 2, R, rows, n)
+                r0, r1 = r[:, 0], r[:, 1]
+                # vectorized EXTRACTLWES at index 0: b = c0[..0];
+                # a[0] = c1[..0], a[j] = -c1[..n-j] for j >= 1
+                b = np.ascontiguousarray(r0[..., 0])
+                a = np.empty_like(r1)
+                a[..., 0] = r1[..., 0]
+                ct_col = ctx.ct_basis.modulus_column.reshape(-1, 1, 1, 1)
+                a[..., 1:] = modneg_vec(r1[..., :0:-1], ct_col)
+        return b, a
+
+    def _row_tile(
+        self, rt: int, comps: Sequence[np.ndarray]
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Row tile ``rt`` for ``R`` requests, summed over column tiles.
+
+        ``comps[c]`` holds the hoisted components of column tile ``c``.
+        Partial dot products aggregate as LWE ciphertexts (cheap
+        additions); returns ``(b (L, R, rows), a (L, R, rows, n))``.
+        """
+        col = self.scheme.ctx.ct_basis.modulus_column
+        b, a = self._dot_extract(self.encoded.tiles[(rt, 0)], comps[0])
+        for ct_idx in range(1, self.encoded.col_tiles):
+            pb, pa = self._dot_extract(
+                self.encoded.tiles[(rt, ct_idx)], comps[ct_idx]
+            )
+            b = modadd_vec(b, pb, col.reshape(-1, 1, 1))
+            a = modadd_vec(a, pa, col.reshape(-1, 1, 1, 1))
+        return b, a
 
     def request_op_count(self) -> HmvpOpCount:
         """Operation counts of one request against the resident matrix."""
@@ -515,7 +446,8 @@ class BatchedHmvp:
         engines — the cluster scatter path — computes them once and
         passes them to every engine's :meth:`multiply_partial`.
         """
-        return self._hoist(ct)
+        comp = self._hoist([ct])
+        return comp[:, 0, 0], comp[:, 1, 0]
 
     def multiply_partial(
         self,
@@ -526,12 +458,12 @@ class BatchedHmvp:
     ) -> "List[tuple[np.ndarray, np.ndarray]]":
         """Stages 1-4 only: stacked partial LWEs per row tile, unpacked.
 
-        Runs the hoisted dot/rescale/extract kernels and the per-engine
-        column-tile LWE aggregation but stops *before* PACKLWES,
-        returning ``(b (L, rows), a (L, rows, n))`` per row tile.  Every
-        per-row value is exactly what the packed path would consume, so
-        a caller may merge partials across shards (modular addition for
-        column shards, row-order concatenation for row shards) and pack
+        Runs the hoisted dot/rescale/extract kernel and the column-tile
+        LWE aggregation but stops *before* PACKLWES, returning
+        ``(b (L, rows), a (L, rows, n))`` per row tile.  Every per-row
+        value is exactly what the packed path would consume, so a caller
+        may merge partials across shards (modular addition for column
+        shards, row-order concatenation for row shards) and pack
         centrally — the resulting RLWE ciphertext is bit-identical to
         the unsharded pipeline.  This is the scatter payload of
         :mod:`repro.cluster`.
@@ -539,53 +471,48 @@ class BatchedHmvp:
         Pass either the vector ciphertext tiles or pre-hoisted
         components (from :meth:`hoist`); hoisted wins when both given.
         """
+        col_tiles = self.encoded.col_tiles
         if hoisted_tiles is None:
             if ct_tiles is None:
                 raise ValueError("need ct_tiles or hoisted_tiles")
-            if len(ct_tiles) != self.encoded.col_tiles:
+            if len(ct_tiles) != col_tiles:
                 raise ValueError(
-                    f"need {self.encoded.col_tiles} vector tiles for "
+                    f"need {col_tiles} vector tiles for "
                     f"{self.matrix.shape[1]} columns, got {len(ct_tiles)}"
                 )
-            hoisted_tiles = [self._hoist(ct) for ct in ct_tiles]
-        elif len(hoisted_tiles) != self.encoded.col_tiles:
+            comps = [self._hoist([ct]) for ct in ct_tiles]
+        elif len(hoisted_tiles) != col_tiles:
             raise ValueError(
-                f"need {self.encoded.col_tiles} hoisted tiles, "
-                f"got {len(hoisted_tiles)}"
+                f"need {col_tiles} hoisted tiles, got {len(hoisted_tiles)}"
             )
-        obs.inc(
-            "core.hmvp.dot_products",
-            self.matrix.shape[0] * self.encoded.col_tiles,
-        )
-        return [
-            self._row_tile_partial(rt, hoisted_tiles)
-            for rt in range(self.encoded.row_tiles)
-        ]
+        else:
+            comps = [
+                np.stack(pair, axis=1)[:, :, np.newaxis]
+                for pair in hoisted_tiles
+            ]
+        obs.inc("core.hmvp.dot_products", self.matrix.shape[0] * col_tiles)
+        partials = []
+        for rt in range(self.encoded.row_tiles):
+            b, a = self._row_tile(rt, comps)
+            partials.append((b[:, 0], a[:, 0]))
+        return partials
 
     def multiply_tiles(
         self, ct_tiles: Sequence[RlweCiphertext]
     ) -> HmvpResult:
         """Full Alg. 1 for one request (one ciphertext per column tile)."""
-        if len(ct_tiles) != self.encoded.col_tiles:
-            raise ValueError(
-                f"need {self.encoded.col_tiles} vector tiles for "
-                f"{self.matrix.shape[1]} columns, got {len(ct_tiles)}"
-            )
-        hoisted = [self._hoist(ct) for ct in ct_tiles]
+        ctx = self.scheme.ctx
         packs = [
-            self._row_tile_pack(rt, hoisted)
-            for rt in range(self.encoded.row_tiles)
+            pack_stacked_lwes(ctx, ctx.ct_basis, b, a, self.scheme.galois_keys)
+            for b, a in self.multiply_partial(ct_tiles)
         ]
         m, n_cols = self.matrix.shape
-        obs.inc("core.hmvp.dot_products", m * self.encoded.col_tiles)
         return HmvpResult(
             packs=packs, rows=m, cols=n_cols, ops=self.request_op_count()
         )
 
     def multiply_one(self, ct_v: RlweCiphertext) -> HmvpResult:
         """Full Alg. 1 for one vector against the cached matrix."""
-        if not ct_v.is_augmented:
-            raise ValueError("vector ciphertext must be augmented")
         if self.encoded.col_tiles != 1:
             raise ValueError(
                 "matrix has multiple column tiles; use multiply_tiles"
@@ -593,15 +520,14 @@ class BatchedHmvp:
         return self.multiply_tiles([ct_v])
 
     def multiply_batch(
-        self,
-        cts: Sequence[RlweCiphertext],
-        workers: Optional[int] = None,
+        self, cts: Sequence[RlweCiphertext]
     ) -> List[HmvpResult]:
         """Apply the cached matrix to a batch of encrypted vectors.
 
-        Row-tile work items — one per ``(request, row_tile)`` pair — fan
-        out across a thread pool when ``workers > 1`` (the NumPy kernels
-        release the GIL for most of their runtime).
+        Stacks all ``R`` requests along a batch axis, so every pipeline
+        stage — hoist, dot, INTT, rescale/extract, pack — runs once per
+        row tile instead of once per request.  Bit-identical per request
+        to :meth:`multiply_one`.
         """
         if self.encoded.col_tiles != 1:
             raise ValueError(
@@ -610,48 +536,31 @@ class BatchedHmvp:
             )
         if not cts:
             return []
-        pool_width = workers if workers is not None else (self.workers or 1)
+        ctx = self.scheme.ctx
         m, n_cols = self.matrix.shape
         obs.inc("batch.requests", len(cts))
-        with obs.span("batch.batch", requests=len(cts), workers=pool_width):
-            tasks = [
-                (ri, rt)
-                for ri in range(len(cts))
+        with obs.span("batch.batch", requests=len(cts)):
+            comps = [self._hoist(cts)]
+            tile_packs = [
+                pack_stacked_lwes_many(
+                    ctx,
+                    ctx.ct_basis,
+                    *self._row_tile(rt, comps),
+                    self.scheme.galois_keys,
+                )
                 for rt in range(self.encoded.row_tiles)
             ]
-            if pool_width > 1 and len(tasks) > 1:
-                # pool threads do not inherit the contextvar, so carry
-                # the batch's trace context across the executor hop
-                hoisted = [self._hoist(ct) for ct in cts]
-                batch_ctx = obs.current_context()
-                with ThreadPoolExecutor(max_workers=pool_width) as pool:
-                    packed = list(
-                        pool.map(
-                            lambda task: obs.run_with_context(
-                                batch_ctx,
-                                self._row_tile_pack,
-                                task[1],
-                                [hoisted[task[0]]],
-                            ),
-                            tasks,
-                        )
-                    )
-            else:
-                # single-worker path: fuse the whole batch into stacked
-                # lock-step kernels (one pass per pipeline stage per row
-                # tile, not per request)
-                per_request = self._fused_batch_pack(cts)
-                packed = [per_request[ri][rt] for ri, rt in tasks]
         obs.inc("core.hmvp.dot_products", m * len(cts))
-        per_request = self.request_op_count()
-        results = []
-        tiles_per_req = self.encoded.row_tiles
-        for ri in range(len(cts)):
-            packs = packed[ri * tiles_per_req : (ri + 1) * tiles_per_req]
-            results.append(
-                HmvpResult(packs=packs, rows=m, cols=n_cols, ops=per_request)
+        ops = self.request_op_count()
+        return [
+            HmvpResult(
+                packs=[packs[ri] for packs in tile_packs],
+                rows=m,
+                cols=n_cols,
+                ops=ops,
             )
-        return results
+            for ri in range(len(cts))
+        ]
 
     def make_jobs(
         self,
@@ -707,7 +616,7 @@ class BatchQueue:
     """Request queue in front of a :class:`BatchedHmvp` engine.
 
     ``submit`` enqueues encrypted vectors; ``drain`` runs the whole
-    pending batch through the engine (worker pool included) and maps it
+    pending batch through the engine's fused batch path and maps it
     onto the hardware simulator's :class:`JobScheduler` — one
     :class:`Job` per (request, row tile), tagged with a batch id — so
     every drain yields both the exact ciphertext results and the priced
@@ -718,12 +627,10 @@ class BatchQueue:
         self,
         engine: BatchedHmvp,
         scheduler: Optional[JobScheduler] = None,
-        workers: Optional[int] = None,
         on_drain: Optional[Callable[["BatchDrainReport"], None]] = None,
     ) -> None:
         self.engine = engine
         self.scheduler = scheduler or JobScheduler()
-        self.workers = workers
         #: called with each non-empty drain's report (metrics export,
         #: serving-layer completion hooks)
         self.on_drain = on_drain
@@ -764,6 +671,8 @@ class BatchQueue:
         micro-batching building block the serving layer's adaptive
         ``max_batch`` policy rides on; ``None`` drains everything.
         """
+        if max_requests is not None and max_requests < 0:
+            raise ValueError(f"max_requests must be >= 0, got {max_requests}")
         if max_requests is not None and max_requests < len(self._pending):
             pending = self._pending[:max_requests]
             self._pending = self._pending[max_requests:]
@@ -782,7 +691,7 @@ class BatchQueue:
             )
         with obs.span("batch.drain", requests=len(pending), batch=batch_id):
             results = self.engine.multiply_batch(
-                [ct for _rid, ct, _ctx in pending], workers=self.workers
+                [ct for _rid, ct, _ctx in pending]
             )
             jobs = self.engine.make_jobs(
                 [rid for rid, _ct, _ctx in pending],

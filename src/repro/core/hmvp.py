@@ -14,7 +14,8 @@ the paper deploys for HeteroLR (Section V-B3): row tiles become separate
 packs, column tiles use separate vector ciphertexts whose partial dot
 products are aggregated *as LWE ciphertexts* before packing — the
 aggregation cost is exactly why Fig. 6 shows throughput degrading once
-``n >= m``.
+``n >= m``.  Both are thin wrappers over the one HMVP engine,
+:class:`repro.core.batch.BatchedHmvp`, on a private (uncached) encoding.
 
 Every entry point also returns an :class:`HmvpOpCount` so the hardware
 performance models can price the exact operation mix.
@@ -23,15 +24,16 @@ performance models can price the exact operation mix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from .. import obs
 from ..he.bfv import BfvScheme
-from ..he.lwe import LweCiphertext, extract_lwe
 from ..he.packing import PackedResult
-from ..he.rlwe import NttPlaintext, RlweCiphertext
+from ..he.rlwe import RlweCiphertext
+
+if TYPE_CHECKING:
+    from .batch import BatchedHmvp
 
 __all__ = ["HmvpOpCount", "HmvpResult", "hmvp", "TiledHmvp"]
 
@@ -146,50 +148,16 @@ class HmvpResult:
         return np.concatenate(parts)
 
 
-def _dot_product_lwes(
-    scheme: BfvScheme,
-    matrix: np.ndarray,
-    ct_v: RlweCiphertext,
-    ops: HmvpOpCount,
-    row_ntts: Optional[Sequence[NttPlaintext]] = None,
-) -> List[LweCiphertext]:
-    """Rows -> dot products -> extracted LWEs (pipeline stages 1-4).
+def _one_shot(
+    scheme: BfvScheme, matrix: np.ndarray, tile_rows: Optional[int] = None
+) -> "BatchedHmvp":
+    """An engine over a private cache: one-off products never fill
+    the process-wide :data:`repro.core.batch.MATRIX_CACHE`."""
+    from .batch import BatchedHmvp, EncodedMatrixCache  # batch imports us
 
-    With ``row_ntts`` (pre-transformed row encodings, one per matrix
-    row) the per-row forward NTTs are skipped and the ciphertext
-    transform is hoisted out of the loop — the cached stages the
-    batched engine builds on.
-    """
-    lwes = []
-    if row_ntts is None:
-        for i in range(matrix.shape[0]):
-            # stages 1-3 (spans NTT / MULTPOLY / INTT inside multiply_plain)
-            pt_row = scheme.encoder.encode_row(np.asarray(matrix[i]))
-            prod = ct_v.multiply_plain(pt_row)
-            # stage 4: drop the special modulus and pull out the LWE sample
-            with obs.span("RESCALE+EXTRACT", row=i):
-                ct_dot = prod.rescale() if prod.is_augmented else prod
-                lwes.append(extract_lwe(ct_dot, 0))
-        tally = HmvpOpCount.for_dot_products(
-            matrix.shape[0], matrix.shape[1], len(scheme.ctx.aug_basis)
-        )
-    else:
-        if len(row_ntts) != matrix.shape[0]:
-            raise ValueError("one cached row transform required per row")
-        with obs.span("NTT", limbs=len(ct_v.basis), polys=2, hoisted=True):
-            hoisted = ct_v.ntt_components()
-        for i, row_ntt in enumerate(row_ntts):
-            prod = ct_v.multiply_plain_ntt(row_ntt, comp_ntts=hoisted)
-            with obs.span("RESCALE+EXTRACT", row=i):
-                ct_dot = prod.rescale() if prod.is_augmented else prod
-                lwes.append(extract_lwe(ct_dot, 0))
-        tally = HmvpOpCount.for_cached_dot_products(
-            matrix.shape[0], matrix.shape[1], len(scheme.ctx.aug_basis)
-        )
-    obs.inc("core.hmvp.dot_products", matrix.shape[0])
-    for name in vars(tally):
-        setattr(ops, name, getattr(ops, name) + getattr(tally, name))
-    return lwes
+    return BatchedHmvp(
+        scheme, matrix, cache=EncodedMatrixCache(1), tile_rows=tile_rows
+    )
 
 
 def hmvp(
@@ -197,27 +165,21 @@ def hmvp(
     matrix: Sequence[Sequence[int]],
     ct_v: RlweCiphertext,
 ) -> HmvpResult:
-    """Algorithm 1 for a matrix with ``m, n <= N``.
+    """Algorithm 1 for a matrix with ``m, n <= N``, one packed result.
 
-    ``ct_v`` must be an augmented-basis encryption of the Eq. 1 vector
-    encoding (``scheme.encrypt_vector``).
+    ``ct_v`` is an augmented Eq. 1 vector encryption (``encrypt_vector``);
+    the ops include the one-off row encoding (``m * (L+1)`` forward NTTs).
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D")
     m, n = matrix.shape
-    ring_n = scheme.params.n
-    if m > ring_n or n > ring_n:
-        raise ValueError(
-            f"{m}x{n} exceeds ring degree {ring_n}; use TiledHmvp"
-        )
-    ops = HmvpOpCount()
-    lwes = _dot_product_lwes(scheme, matrix, ct_v, ops)
-    packed = scheme.pack(lwes)
-    ops = ops + HmvpOpCount.for_pack(
-        m, len(scheme.ctx.ct_basis), len(scheme.ctx.aug_basis)
-    )
-    return HmvpResult(packs=[packed], rows=m, cols=n, ops=ops)
+    if m > scheme.params.n or n > scheme.params.n:
+        raise ValueError(f"{m}x{n} exceeds ring degree {scheme.params.n}; use TiledHmvp")
+    engine = _one_shot(scheme, matrix)
+    result = engine.multiply_one(ct_v)
+    result.ops = engine.amortized_op_count(1)
+    return result
 
 
 class TiledHmvp:
@@ -255,44 +217,15 @@ class TiledHmvp:
     ) -> HmvpResult:
         """Full tiled HMVP.
 
-        ``rows_per_pack`` caps the rows folded into one output ciphertext
-        (defaults to the ring degree); smaller values model the paper's
-        mini-batching.
+        ``rows_per_pack`` is the engine's ``tile_rows``: the rows folded
+        into one output ciphertext, in ``1..N`` (default ``N``); smaller
+        values model the paper's mini-batching.  The reported ops
+        include the one-off row encoding.
         """
-        matrix = np.asarray(matrix)
-        m, n = matrix.shape
-        expect_tiles = self.column_tiles(n)
-        if len(ct_tiles) != expect_tiles:
-            raise ValueError(
-                f"need {expect_tiles} vector tiles for {n} columns, "
-                f"got {len(ct_tiles)}"
-            )
-        pack_rows = rows_per_pack or self.ring_n
-        if pack_rows > self.ring_n:
-            raise ValueError("rows_per_pack cannot exceed the ring degree")
-
-        ops = HmvpOpCount()
-        packs: List[PackedResult] = []
-        for row_start in range(0, m, pack_rows):
-            row_block = matrix[row_start : row_start + pack_rows]
-            agg: List[LweCiphertext] = []
-            for tile_idx in range(expect_tiles):
-                col_start = tile_idx * self.ring_n
-                block = row_block[:, col_start : col_start + self.ring_n]
-                lwes = _dot_product_lwes(
-                    self.scheme, block, ct_tiles[tile_idx], ops
-                )
-                if not agg:
-                    agg = lwes
-                else:
-                    agg = [a + b for a, b in zip(agg, lwes)]
-                    ops.lwe_additions += len(lwes)
-            packed = self.scheme.pack(agg)
-            ops = ops + HmvpOpCount.for_pack(
-                len(agg), len(self.scheme.ctx.ct_basis), len(self.scheme.ctx.aug_basis)
-            )
-            packs.append(packed)
-        return HmvpResult(packs=packs, rows=m, cols=n, ops=ops)
+        engine = _one_shot(self.scheme, np.asarray(matrix), rows_per_pack)
+        result = engine.multiply_tiles(ct_tiles)
+        result.ops = engine.amortized_op_count(1)
+        return result
 
     def __call__(
         self, matrix: Sequence[Sequence[int]], v: Sequence[int]

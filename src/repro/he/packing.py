@@ -24,6 +24,12 @@ cost of ``ceil(log2 m)`` bits of noise budget.
 
 Packing 4096 rows issues exactly 4095 PACKTWOLWES reductions — the binary
 tree the paper's reduce buffer walks (Section III-A).
+
+All three entry points — :func:`pack_lwes` (a list of LWEs),
+:func:`pack_stacked_lwes` (one stacked request) and
+:func:`pack_stacked_lwes_many` (``R`` requests in lock-step) — run the
+same level-order tree, ``_pack_tree``.  The recursive Algorithm 2/3 code
+is the bit-level reference in ``tests/oracles/packing.py``.
 """
 
 from __future__ import annotations
@@ -37,18 +43,15 @@ from .. import obs
 from ..math.modular import modadd_vec, modneg_vec, modsub_vec
 from ..math.polynomial import automorph, shiftneg
 from ..math.rns import RnsBasis
-from .automorphism import apply_automorphism
 from .context import CheContext
 from .keys import GaloisKeyset
 from .keyswitch import key_switch_raw
-from .lwe import LweCiphertext, lwe_to_rlwe
+from .lwe import LweCiphertext
 from .rlwe import RlweCiphertext
 
 __all__ = [
     "PackedResult",
-    "pack_two_lwes",
     "pack_lwes",
-    "pack_lwes_batched",
     "pack_stacked_lwes",
     "pack_stacked_lwes_many",
     "pack_reduction_count",
@@ -82,83 +85,23 @@ class PackedResult:
         return self.ct.ctx.n >> self.scale_pow2
 
 
-def pack_two_lwes(
-    level: int,
-    ct_even: RlweCiphertext,
-    ct_odd: RlweCiphertext,
-    galois_keys: GaloisKeyset,
-) -> RlweCiphertext:
-    """Algorithm 2: merge two level-``(k-1)`` packs into a level-``k`` pack."""
-    n = ct_even.ctx.n
-    stride = n >> level
-    if stride < 1:
-        raise ValueError(f"level {level} exceeds log2(n)={n.bit_length() - 1}")
-    obs.inc("he.pack.reductions")
-    g = (1 << level) + 1
-    ct_mono = ct_odd.multiply_monomial(stride)
-    ct_plus = ct_even + ct_mono
-    ct_minus = ct_even - ct_mono
-    ct_auto = apply_automorphism(ct_minus, g, galois_keys)
-    return ct_plus + ct_auto
-
-
 def pack_lwes(
     lwes: Sequence[LweCiphertext],
     galois_keys: GaloisKeyset,
 ) -> PackedResult:
-    """Algorithm 3: recursively pack ``m`` LWE ciphertexts into one RLWE.
+    """Algorithm 3: pack ``m`` LWE ciphertexts into one RLWE ciphertext.
 
-    Inputs are zero-padded to the next power of two with transparent
-    zero ciphertexts, which is exact (zero message, zero noise).
-    """
-    if not lwes:
-        raise ValueError("nothing to pack")
-    ctx = lwes[0].ctx
-    rlwes: List[RlweCiphertext] = [lwe_to_rlwe(lwe) for lwe in lwes]
-    count = len(rlwes)
-    levels = max(count - 1, 0).bit_length()
-    target = 1 << levels
-    if target > ctx.n:
-        raise ValueError(f"cannot pack {count} > ring degree {ctx.n}")
-    basis = rlwes[0].basis
-    while len(rlwes) < target:
-        rlwes.append(RlweCiphertext.zero(ctx, basis))
-
-    stats = {"reductions": 0}
-
-    def recurse(items: List[RlweCiphertext]) -> RlweCiphertext:
-        # Algorithm 3: split by index parity so slot order comes out natural
-        if len(items) == 1:
-            return items[0]
-        level = len(items).bit_length() - 1
-        ct_even = recurse(items[0::2])
-        ct_odd = recurse(items[1::2])
-        stats["reductions"] += 1
-        return pack_two_lwes(level, ct_even, ct_odd, galois_keys)
-
-    with obs.span("PACK", count=count, levels=levels):
-        packed = recurse(rlwes)
-    obs.inc("he.pack.calls")
-    return PackedResult(
-        ct=packed, count=count, scale_pow2=levels, reductions=stats["reductions"]
-    )
-
-
-def pack_lwes_batched(
-    lwes: Sequence[LweCiphertext],
-    galois_keys: GaloisKeyset,
-) -> PackedResult:
-    """Vectorized PACKLWES: bit-identical to :func:`pack_lwes`.
-
-    The recursion of Algorithm 3 is a perfect binary tree; all merges at
-    tree level ``k`` share the same Galois element ``g = 2**k + 1`` and
-    monomial stride ``n >> k``, so each level collapses into one pass of
-    stacked ``(L, pairs, n)`` NumPy kernels plus a single *batched*
-    key-switch (the per-pair Python dispatch of the sequential path is
-    what dominates the software pack).  Level order: iterating levels
-    ``1..log2(m)`` with ``next[r] = merge(k, cur[r], cur[r + half])``
-    reproduces the recursion's parity splits exactly, so the output
-    ciphertext is byte-for-byte the one :func:`pack_lwes` produces.
+    The list front end of :func:`pack_stacked_lwes`: stacks the LWE
+    components and runs the level-order pack tree.  The recursion of
+    Algorithm 3 is a perfect binary tree whose merges at level ``k`` all
+    share the Galois element ``g = 2**k + 1`` and monomial stride
+    ``n >> k``, so each level is one pass of stacked kernels plus one
+    batched key-switch; iterating levels with ``next[r] = merge(k,
+    cur[r], cur[r + half])`` reproduces the recursion's parity splits, so
+    the ciphertext is byte-for-byte Algorithm 3's (the recursive
+    reference lives in ``tests/oracles/packing.py``).  Inputs are
+    zero-padded to the next power of two with transparent zero
+    ciphertexts, which is exact (zero message, zero noise).
     """
     if not lwes:
         raise ValueError("nothing to pack")
@@ -266,18 +209,17 @@ def _pack_tree(
         raise ValueError(f"cannot pack {count} > ring degree {ctx.n}")
     n = ctx.n
 
-    # Eq. 3 embedding for every request at once, zero-padded to the
-    # next power of two (transparent zero ciphertexts, exact).
-    q_col = basis.modulus_column.reshape(-1, 1, 1, 1)
-    c0 = np.zeros((nlimbs, reqs, target, n), dtype=np.uint64)
-    c1 = np.zeros((nlimbs, reqs, target, n), dtype=np.uint64)
-    c0[:, :, :count, 0] = b
-    c1[:, :, :count, 0] = a[..., 0]
-    c1[:, :, :count, 1:] = modneg_vec(a[..., :0:-1], q_col)
-
     with obs.span(
         "PACK", count=count, levels=levels, requests=reqs, mode="batched"
     ):
+        # Eq. 3 embedding for every request at once, zero-padded to the
+        # next power of two (transparent zero ciphertexts, exact).
+        q_col = basis.modulus_column.reshape(-1, 1, 1, 1)
+        c0 = np.zeros((nlimbs, reqs, target, n), dtype=np.uint64)
+        c1 = np.zeros((nlimbs, reqs, target, n), dtype=np.uint64)
+        c0[:, :, :count, 0] = b
+        c1[:, :, :count, 0] = a[..., 0]
+        c1[:, :, :count, 1:] = modneg_vec(a[..., :0:-1], q_col)
         for k in range(1, levels + 1):
             half = c0.shape[2] // 2
             with obs.span("PACK.level", level=k, pairs=half, requests=reqs):

@@ -9,9 +9,9 @@ the correctness oracle, so JIT compilation is strictly opt-in:
 * when the flag is on but numba is missing, the flag is a no-op —
   :func:`enabled` stays ``False`` and every caller falls back to the
   NumPy paths (nothing is ever ``pip install``-ed implicitly);
-* the kernels implement the exact split-operand formula of
-  ``modular.modmul_vec_split`` per element, so JIT output is
-  bit-identical to the oracle by construction (and by the
+* the kernels implement, per element, the exact split-operand formula
+  of the reference multiply in ``tests/oracles/modular.py``, so JIT
+  output is bit-identical to the oracle by construction (and by the
   ``REPRO_JIT=1`` differential suite in
   ``tests/test_fastpath_properties.py``).
 
@@ -100,7 +100,7 @@ def _run_kernel(kernel, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 
 def modmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """JIT ``(a * b) mod q``; bit-identical to ``modmul_vec_split``."""
+    """JIT ``(a * b) mod q``; bit-identical to the split-operand oracle."""
     return _run_kernel(_modmul_kernel, a, b, q)
 
 

@@ -2,26 +2,21 @@
 
 CHAM's moduli are at most 39 bits wide (``p = 2**38 + 2**23 + 1``), so a
 product of two residues can reach 78 bits and does not fit in a NumPy
-``uint64``.  Three exact multiply paths coexist:
+``uint64``.  :func:`modmul_vec` dispatches between two exact paths:
 
-* :func:`modmul_vec_split` — the original reference path: split the left
-  operand at ``SPLIT_BITS`` bits so every intermediate stays below
-  2**62.  This is the **differential oracle** the fast paths are
-  cross-checked against; it is deliberately left untouched.
-* :func:`modmul_vec_barrett` — the default fast path: a floating-point
-  Barrett reduction with the per-modulus reciprocal ``mu = RN(1/q)``
-  precomputed in :class:`_ReducerCache`.  One float multiply estimates
-  the quotient to within ±1; wrap-around ``uint64`` arithmetic recovers
-  the exact remainder with two conditional subtractions (proof in the
-  docstring).  Roughly 3x fewer integer divisions per element than the
-  split path.
+* the default floating-point Barrett reduction with the per-modulus
+  reciprocal ``mu = RN(1/q)`` precomputed in :class:`_ReducerCache`.
+  One float multiply estimates the quotient to within ±1; wrap-around
+  ``uint64`` arithmetic recovers the exact remainder with two
+  conditional subtractions (proof in ``_barrett_core``);
 * an opt-in numba JIT kernel set (:mod:`repro.math.jit`) behind the
-  ``REPRO_JIT=1`` feature flag — same split-multiply formula compiled
+  ``REPRO_JIT=1`` feature flag — the split-operand formula (left operand
+  split at ``SPLIT_BITS`` bits, every intermediate below 2**62) compiled
   per element, used only when numba is importable.
 
-:func:`modmul_vec` dispatches between them; all three are bit-identical
-by construction and by the property tests in
-``tests/test_fastpath_properties.py``.
+Both are bit-identical to the split-operand reference
+``tests/oracles/modular.py`` by construction and by the property tests
+in ``tests/test_fastpath_properties.py``.
 
 The module also provides the *hardware* reduction path used by CHAM: the
 paper chooses low-Hamming-weight primes (three non-zero bits each) so that
@@ -48,8 +43,6 @@ __all__ = [
     "modsub_vec",
     "modneg_vec",
     "modmul_vec",
-    "modmul_vec_split",
-    "modmul_vec_barrett",
     "modmul_scalar_vec",
     "modpow",
     "modinv",
@@ -62,16 +55,14 @@ __all__ = [
     "decompose_low_hamming",
 ]
 
-#: Largest modulus width (bits) for which :func:`modmul_vec` is exact.
-#: With the 20-bit split every intermediate stays below 2**62 for
-#: 41-bit moduli (see :func:`modmul_vec`), comfortably inside uint64.
+#: Largest modulus width (bits) for which :func:`modmul_vec` is exact:
+#: the Barrett error bound holds, and with the 20-bit split every JIT
+#: intermediate stays below 2**62, comfortably inside uint64.
 MAX_MODULUS_BITS = 41
 
-#: The left operand of a product is split at this many low bits.
+#: The JIT kernels split the left operand of a product at this many low
+#: bits (mirrored in :mod:`repro.math.jit`).
 SPLIT_BITS = 20
-
-_LOW_MASK = np.uint64((1 << SPLIT_BITS) - 1)
-_SHIFT = np.uint64(SPLIT_BITS)
 
 IntArray = np.ndarray
 
@@ -217,27 +208,12 @@ def _check_modulus_bits(q: ModulusLike) -> None:
         )
 
 
-def modmul_vec_split(a: IntArray, b: IntArray, q: int) -> IntArray:
-    """Coefficient-wise ``(a * b) mod q`` via the split-operand path.
-
-    This is the original reference implementation and the differential
-    oracle of the Barrett/JIT fast paths — do not "optimize" it.
-
-    Exactness argument: write ``a = a_hi * 2**20 + a_lo``.  With
-    ``a, b < q < 2**41`` every intermediate below is at most
-    ``2**21 * 2**41 = 2**62`` (``a_hi * b``), ``(q-1) * 2**20 < 2**61``
-    (the shifted reduced high part), ``2**20 * 2**41 = 2**61``
-    (``a_lo * b``), or their sum ``< 2**62`` — all inside ``uint64``.
-    """
-    a = _as_u64(a)
-    b = _as_u64(b)
-    qq = np.uint64(q)
-    hi = (a >> _SHIFT) * b % qq
-    lo = (a & _LOW_MASK) * b % qq
-    return ((hi << _SHIFT) + lo) % qq
-
-
-def modmul_vec_barrett(a: IntArray, b: IntArray, q: ModulusLike) -> IntArray:
+def _barrett_core(
+    a: IntArray,
+    b: IntArray,
+    qq: Union[np.uint64, IntArray],
+    mu: Union[np.float64, np.ndarray],
+) -> IntArray:
     """Coefficient-wise ``(a * b) mod q`` via floating-point Barrett.
 
     Exactness: with ``a, b < q < 2**41`` the true product ``p = a*b`` is
@@ -252,32 +228,14 @@ def modmul_vec_barrett(a: IntArray, b: IntArray, q: ModulusLike) -> IntArray:
     other two either exceed ``q`` or wrap around to values near
     ``2**64`` — an unsigned minimum selects it exactly.
 
-    ``q`` may be an array column (one modulus per leading slice), which
+    ``qq`` may be an array column (one modulus per leading slice), which
     is what the fused-limb NTT and key-switch kernels rely on.
     """
-    a = _as_u64(a)
-    b = _as_u64(b)
-    if isinstance(q, (int, np.integer)):
-        red = _REDUCERS.get(int(q))
-        return _barrett_core(a, b, red.qq, red.mu)
-    qq = _as_u64(q)
-    mu = _column_mu(qq)
-    if mu is None:
-        mu = 1.0 / qq.astype(np.float64)
-    return _barrett_core(a, b, qq, mu)
-
-
-def _barrett_core(
-    a: IntArray,
-    b: IntArray,
-    qq: Union[np.uint64, IntArray],
-    mu: Union[np.float64, np.ndarray],
-) -> IntArray:
     est = (a.astype(np.float64) * b.astype(np.float64) * mu).astype(np.uint64)
     # the quotient estimate is off by at most one, so the raw residue is
     # in (-q, 2q): exactly one of {r, r+q, r-q} lands in [0, q) and
     # uint64 wrap-around makes the other two enormous — unsigned min
-    # selects the exact remainder (see modmul_vec_barrett docstring)
+    # selects the exact remainder (see the docstring)
     r = a * b - est * qq
     return np.minimum(np.minimum(r, r + qq), r - qq)
 
@@ -286,9 +244,11 @@ def modmul_vec(a: IntArray, b: IntArray, q: ModulusLike) -> IntArray:
     """Coefficient-wise ``(a * b) mod q`` for ``q < 2**MAX_MODULUS_BITS``.
 
     Dispatches to the numba JIT kernels when the ``REPRO_JIT=1`` feature
-    flag is active (and numba is importable), else to the Barrett fast
-    path (:func:`modmul_vec_barrett`).  Both are bit-identical to the
-    :func:`modmul_vec_split` oracle.
+    flag is active (and numba is importable) and ``q`` is a scalar, else
+    to the Barrett path (``_barrett_core``).  ``q`` may be an array
+    column (one modulus per leading slice).  Both paths are
+    bit-identical to the split-operand reference in
+    ``tests/oracles/modular.py``.
     """
     a = _as_u64(a)
     b = _as_u64(b)

@@ -96,8 +96,6 @@ class ServeConfig:
     #: resets one watchdog episode needs before a hung device recovers
     resets_to_recover: int = 1
     seed: int = 0
-    #: NumPy worker-pool width inside each engine's multiply_batch
-    workers_per_engine: int = 1
 
 
 class RequestStatus(Enum):
@@ -319,12 +317,7 @@ class HmvpServer:
         shared_cache = cache if cache is not None else EncodedMatrixCache()
         self.workers: List[EngineWorker] = []
         for engine_id in range(self.config.engines):
-            engine = BatchedHmvp(
-                scheme,
-                matrix,
-                cache=shared_cache,
-                workers=self.config.workers_per_engine,
-            )
+            engine = BatchedHmvp(scheme, matrix, cache=shared_cache)
             if fault_injectors is not None:
                 faults = fault_injectors[engine_id]
             else:

@@ -72,8 +72,8 @@ def test_amortized_op_count(scheme128, matrix):
 def test_rejects_bad_inputs(scheme128, rng_module):
     with pytest.raises(ValueError):
         BatchedHmvp(scheme128, np.zeros(128))
-    with pytest.raises(ValueError):
-        BatchedHmvp(scheme128, np.zeros((129, 10)))
+    with pytest.raises(ValueError, match="nothing to pack"):
+        BatchedHmvp(scheme128, np.zeros((0, 128)), cache=EncodedMatrixCache())
     batched = BatchedHmvp(scheme128, rng_module.integers(-5, 5, (2, 128)))
     ct = scheme128.encrypt_vector([1], augmented=False)
     with pytest.raises(ValueError, match="augmented"):
@@ -82,6 +82,16 @@ def test_rejects_bad_inputs(scheme128, rng_module):
 
 def test_shape_property(scheme128, matrix):
     assert BatchedHmvp(scheme128, matrix).shape == (6, 128)
+
+
+@pytest.mark.parametrize("tile_rows", [-1, 0, 129])
+def test_tile_rows_outside_ring_rejected(scheme128, matrix, tile_rows):
+    """A tile size outside 1..N raises instead of silently packing
+    nothing (below 1) or being clamped (above N)."""
+    with pytest.raises(ValueError, match="tile_rows"):
+        BatchedHmvp(
+            scheme128, matrix, cache=EncodedMatrixCache(), tile_rows=tile_rows
+        )
 
 
 # -- encoded-matrix cache -------------------------------------------------------
@@ -154,29 +164,31 @@ def test_encoded_tiles_are_frozen(scheme128, matrix):
         tile[0, 0, 0] = 1
 
 
-# -- worker pool and request queue ---------------------------------------------
+# -- fused batches and the request queue ---------------------------------------
 
 
-def test_multiply_batch_with_workers(scheme128, matrix, rng_module):
-    """The thread-pool fan-out returns the same ciphertext results in
-    request order."""
-    batched = BatchedHmvp(scheme128, matrix)
+def test_multiply_batch_matches_single_requests(scheme128, matrix, rng_module):
+    """The fused batch returns, in request order, exactly the ciphertexts
+    single requests produce (the request axis never mixes data)."""
+    batched = BatchedHmvp(scheme128, matrix, tile_rows=4)
     vs = [rng_module.integers(-40, 40, 128) for _ in range(4)]
     cts = [scheme128.encrypt_vector(v) for v in vs]
-    serial = batched.multiply_batch(cts, workers=1)
-    pooled = batched.multiply_batch(cts, workers=4)
-    for s, p, v in zip(serial, pooled, vs):
-        assert np.array_equal(s.packs[0].ct.c0, p.packs[0].ct.c0)
-        assert np.array_equal(s.packs[0].ct.c1, p.packs[0].ct.c1)
+    fused = batched.multiply_batch(cts)
+    for f, ct, v in zip(fused, cts, vs):
+        one = batched.multiply_one(ct)
+        assert len(f.packs) == len(one.packs) == 2
+        for fp, op in zip(f.packs, one.packs):
+            assert np.array_equal(fp.ct.c0, op.ct.c0)
+            assert np.array_equal(fp.ct.c1, op.ct.c1)
         assert np.array_equal(
-            p.decrypt(scheme128), matrix.astype(object) @ v.astype(object)
+            f.decrypt(scheme128), matrix.astype(object) @ v.astype(object)
         )
 
 
 def test_batch_queue_submit_drain(scheme128, matrix, rng_module):
     reg = obs.enable_metrics()
     try:
-        queue = BatchQueue(BatchedHmvp(scheme128, matrix), workers=2)
+        queue = BatchQueue(BatchedHmvp(scheme128, matrix))
         vs = [rng_module.integers(-40, 40, 128) for _ in range(3)]
         ids = [queue.submit(scheme128.encrypt_vector(v)) for v in vs]
         assert ids == [0, 1, 2]
@@ -207,6 +219,22 @@ def test_batch_queue_empty_drain(scheme128, matrix):
     report = queue.drain()
     assert report.request_ids == [] and report.results == []
     assert report.schedule.makespan == 0
+
+
+def test_batch_queue_drain_caps_and_rejects_negative(scheme128, matrix):
+    """``max_requests`` takes a FIFO prefix; a negative cap raises
+    instead of slicing off the tail of the queue."""
+    queue = BatchQueue(BatchedHmvp(scheme128, matrix))
+    ct = scheme128.encrypt_vector(np.ones(128, dtype=np.int64))
+    for _ in range(3):
+        queue.submit(ct)
+    with pytest.raises(ValueError, match="max_requests"):
+        queue.drain(max_requests=-1)
+    assert queue.depth == 3
+    assert queue.drain(max_requests=2).request_ids == [0, 1]
+    assert queue.drain(max_requests=0).request_ids == []
+    assert queue.drain().request_ids == [2]
+    assert queue.depth == 0
 
 
 def test_batch_queue_rejects_non_augmented(scheme128, matrix):

@@ -1,19 +1,21 @@
-"""Differential HMVP test (ISSUE 3): three implementations, one answer.
+"""Differential HMVP tests: the engine against independent references.
 
 For randomized shapes — non-power-of-two row counts and the single-row
 edge case included — the batched engine
-(:meth:`repro.core.batch.BatchedHmvp.multiply_batch`), the scalar
-Algorithm-1 path (:func:`repro.core.hmvp.hmvp`) and the plaintext
-oracle ``A @ v (mod t, centered)`` must agree exactly.  Any divergence
-localizes the bug: batch != scalar is the caching/fan-out layer,
-scalar != oracle is the HE pipeline itself.
+(:meth:`repro.core.batch.BatchedHmvp.multiply_batch`), the one-shot
+wrapper (:func:`repro.core.hmvp.hmvp`) and the plaintext oracle
+``A @ v (mod t, centered)`` must agree exactly.  The engine's packs must
+also equal, per RNS limb, the per-row Algorithm 1 reference in
+``tests/oracles/hmvp.py`` (no hoisting, caching or stacking, recursive
+pack), across row tiles, ``tile_rows`` and ragged column tiles.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchedHmvp
+from repro.core.batch import BatchedHmvp, EncodedMatrixCache
 from repro.core.hmvp import hmvp
+from tests.oracles.hmvp import hmvp_per_row
 
 #: (rows, number of vectors) — non-power-of-two and single-row on purpose
 SHAPES = [(1, 2), (3, 1), (5, 3), (7, 2), (8, 2), (13, 1)]
@@ -85,3 +87,57 @@ def test_batch_is_order_independent(scheme128):
         for r in engine.multiply_batch(list(reversed(cts)))
     ]
     assert fwd == list(reversed(rev))
+
+
+#: (rows, cols, tile_rows): 1 x N, a non-power-of-two row count, m > N
+#: (two row tiles), 6-row tiles, and three column tiles whose last is
+#: ragged (300 = 128 + 128 + 44)
+ORACLE_SHAPES = [
+    (1, 128, None),
+    (37, 128, None),
+    (129, 64, None),
+    (20, 128, 6),
+    (5, 300, None),
+]
+
+
+def _encrypt_tiles(scheme, vector):
+    ring = scheme.params.n
+    return [
+        scheme.encrypt_vector(vector[start : start + ring])
+        for start in range(0, len(vector), ring)
+    ]
+
+
+def _assert_packs_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.count, g.scale_pow2, g.reductions) == (
+            w.count, w.scale_pow2, w.reductions
+        )
+        assert g.ct.basis.moduli == w.ct.basis.moduli
+        for limb in range(len(w.ct.basis)):
+            assert np.array_equal(g.ct.c0[limb], w.ct.c0[limb]), f"c0 limb {limb}"
+            assert np.array_equal(g.ct.c1[limb], w.ct.c1[limb]), f"c1 limb {limb}"
+
+
+@pytest.mark.parametrize("rows,cols,tile_rows", ORACLE_SHAPES)
+def test_engine_packs_match_per_row_oracle(scheme128, rows, cols, tile_rows):
+    rng = np.random.default_rng(0x0AC1 + rows * 7 + cols)
+    matrix = rng.integers(-100, 100, (rows, cols))
+    cts = _encrypt_tiles(scheme128, rng.integers(-100, 100, cols))
+    engine = BatchedHmvp(
+        scheme128, matrix, cache=EncodedMatrixCache(), tile_rows=tile_rows
+    )
+    want = hmvp_per_row(scheme128, matrix, cts, tile_rows)
+    _assert_packs_equal(engine.multiply_tiles(cts).packs, want)
+
+
+def test_fused_batch_packs_match_per_row_oracle(scheme128):
+    """Every request of a fused batch, row tile by row tile."""
+    rng = np.random.default_rng(0x0AC2)
+    matrix = rng.integers(-100, 100, (11, 128))
+    cts = [scheme128.encrypt_vector(rng.integers(-100, 100, 128)) for _ in range(3)]
+    engine = BatchedHmvp(scheme128, matrix, cache=EncodedMatrixCache(), tile_rows=4)
+    for result, ct in zip(engine.multiply_batch(cts), cts):
+        _assert_packs_equal(result.packs, hmvp_per_row(scheme128, matrix, [ct], 4))

@@ -1,7 +1,7 @@
 """Differential property suite for the kernel fast paths.
 
 Every optimized kernel in this repo keeps a slow, obviously-correct
-counterpart as its oracle:
+counterpart as its oracle in ``tests/oracles/``:
 
 * ``modmul_vec`` (float-Barrett, unsigned-min selection, optional numba
   JIT) vs ``modmul_vec_split`` (the 20-bit split-operand formula);
@@ -21,16 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.he.keyswitch import key_switch_raw, key_switch_raw_loop
+from repro.he.keyswitch import key_switch_raw
 from repro.math import jit as repro_jit
 from repro.math.modular import (
     MAX_MODULUS_BITS,
+    SPLIT_BITS,
     modadd_vec,
     modmul_vec,
-    modmul_vec_barrett,
-    modmul_vec_split,
     modsub_vec,
 )
+from tests.oracles.keyswitch import key_switch_raw_loop
+from tests.oracles.modular import modmul_vec_split
 
 # Odd moduli spanning the supported widths, including the paper's 39-bit
 # key-switch prime and the maximum 41-bit width where the float-Barrett
@@ -48,6 +49,18 @@ def _arrays(rng_seed: int, q: int, size: int = 64):
 
 
 # -- Barrett vs split oracle ---------------------------------------------------
+
+
+def modmul_vec_barrett(a, b, q):
+    """``modmul_vec`` on its Barrett path: the JIT dispatch is switched
+    off for the call and restored after, so the jit=1 leg checks Barrett
+    here too."""
+    state = repro_jit.configure()
+    repro_jit.configure(False)
+    try:
+        return modmul_vec(a, b, q)
+    finally:
+        repro_jit.configure(state)
 
 
 @given(q=_moduli, seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -162,6 +175,11 @@ def test_fused_keyswitch_batched_matches_loop(ctx128, ks_fixture, batch_shape):
 
 
 # -- JIT differential (numba CI leg; no-op where numba is absent) --------------
+
+
+def test_jit_split_constant_mirrors_modular():
+    """jit.py mirrors the split width instead of importing it."""
+    assert repro_jit._SPLIT_BITS == SPLIT_BITS
 
 
 def test_jit_disabled_without_flag_or_numba():

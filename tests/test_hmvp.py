@@ -103,6 +103,15 @@ def test_tiled_rows_per_pack(scheme128, rng):
         tiler.multiply(a, tiler.encrypt_vector(v), rows_per_pack=256)
 
 
+@pytest.mark.parametrize("rows_per_pack", [-2, 0, 129])
+def test_tiled_rows_per_pack_outside_ring_rejected(scheme128, rng, rows_per_pack):
+    """Below 1 used to return zero packs; above N now raises the same way."""
+    a = rng.integers(-10, 10, (8, 32))
+    tiler = TiledHmvp(scheme128)
+    with pytest.raises(ValueError, match="tile_rows"):
+        tiler.multiply(a, tiler.encrypt_vector(rng.integers(-10, 10, 32)), rows_per_pack)
+
+
 def test_tiled_tile_count_mismatch(scheme128, rng):
     tiler = TiledHmvp(scheme128)
     a = rng.integers(-10, 10, (3, 256))

@@ -244,8 +244,8 @@ class TestUnguardedSharedWrite:
         assert fired("REPRO211", text) == [7]
 
     def test_fires_via_pool_map_lambda_bridge(self):
-        # the exact shape multiply_batch uses: a lambda wrapping
-        # obs.run_with_context(ctx, self._row_tile_pack, ...)
+        # a lambda wrapping obs.run_with_context(ctx, fn, ...) handed to
+        # pool.map
         text = _CACHE_PREAMBLE + (
             "    def bump(self, task):\n"
             "        self.hits += 1\n"
@@ -381,12 +381,12 @@ class TestMigrationVerdict:
         assert diags == [], "\n".join(d.format() for d in diags)
 
     def test_worker_reachability_traced_the_serving_stack(self, project):
-        # guard against a vacuous verdict: both spawn chains (the
-        # batch pool.map lambda and the serve run_in_executor bridge)
-        # must have been resolved into the kernel call graph
+        # guard against a vacuous verdict: the serve run_in_executor
+        # bridge must have been resolved through multiply_batch into
+        # the engine's dot/extract kernel
         reached = project.worker_reachable
         assert any(
-            key.endswith("BatchedHmvp._row_tile_pack") for key in reached
+            key.endswith("BatchedHmvp._dot_extract") for key in reached
         ), sorted(reached)
         assert any(
             key.endswith("BatchedHmvp.multiply_batch") for key in reached

@@ -398,9 +398,10 @@ def test_tracer_readers_race_writers_without_corruption():
     assert len(tracer) == writers * spans_per_writer
 
 
-def test_batched_engine_counters_exact_under_pool():
-    """The batched HMVP worker pool reports the same counter totals as a
-    serial run (per-request work is identical, just interleaved)."""
+def test_batched_engine_counters_match_single_requests():
+    """A fused batch reports the same semantic counter totals as the
+    same requests run one at a time (per-request work is identical,
+    just stacked)."""
     import numpy as np
 
     from repro.core.batch import BatchedHmvp, EncodedMatrixCache
@@ -413,27 +414,27 @@ def test_batched_engine_counters_exact_under_pool():
     engine = BatchedHmvp(scheme, matrix, cache=EncodedMatrixCache())
     cts = [scheme.encrypt_vector(rng.integers(-8, 8, 64)) for _ in range(6)]
 
-    def run(workers):
+    def run(fn):
         reg = obs.enable_metrics()
         try:
-            engine.multiply_batch(cts, workers=workers)
+            fn()
             return reg.snapshot()["counters"]
         finally:
             obs.disable_metrics()
             obs.REGISTRY.reset()
 
-    serial = run(1)
-    pooled = run(4)
-    # the serial path fuses all requests into stacked lock-step kernels,
-    # so it issues fewer (bigger) modmul dispatches than the pooled
-    # per-request path — but every semantic total (coefficients touched,
-    # key-switches, pack reductions) must agree exactly
-    serial_calls = serial.pop("math.modmul.calls")
-    pooled_calls = pooled.pop("math.modmul.calls")
-    assert serial_calls <= pooled_calls
-    assert pooled == serial
-    assert pooled["math.modmul.coefficients"] == serial["math.modmul.coefficients"]
-    assert pooled["he.keyswitch.calls"] == serial["he.keyswitch.calls"]
-    assert pooled["he.pack.reductions"] == serial["he.pack.reductions"]
-    assert pooled["batch.requests"] == 6
-    assert pooled["he.pack.calls"] == 6
+    fused = run(lambda: engine.multiply_batch(cts))
+    single = run(lambda: [engine.multiply_one(ct) for ct in cts])
+    # the fused path stacks all requests into lock-step kernels, so it
+    # issues fewer (bigger) modmul dispatches than one-at-a-time — but
+    # every semantic total (coefficients touched, key-switches, pack
+    # reductions) must agree exactly
+    fused_calls = fused.pop("math.modmul.calls")
+    single_calls = single.pop("math.modmul.calls")
+    assert fused_calls < single_calls
+    assert fused.pop("batch.requests") == 6
+    assert single == fused
+    assert fused["math.modmul.coefficients"] == single["math.modmul.coefficients"]
+    assert fused["he.keyswitch.calls"] == single["he.keyswitch.calls"]
+    assert fused["he.pack.reductions"] == single["he.pack.reductions"]
+    assert fused["he.pack.calls"] == 6

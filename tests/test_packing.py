@@ -6,13 +6,9 @@ import pytest
 from repro.he.encoder import CoefficientEncoder
 from repro.he.lwe import extract_lwe
 from repro.he.noise import invariant_noise_budget, packed_slot_positions
-from repro.he.packing import (
-    pack_lwes,
-    pack_lwes_batched,
-    pack_reduction_count,
-    pack_two_lwes,
-)
+from repro.he.packing import pack_lwes, pack_reduction_count, pack_stacked_lwes
 from repro.he.rlwe import encrypt
+from tests.oracles.packing import pack_lwes_recursive, pack_two_lwes
 
 
 @pytest.fixture(scope="module")
@@ -130,17 +126,17 @@ def test_pack_reduction_count_validation():
         pack_reduction_count(0)
 
 
-# -- batched (vectorized level-order) pack -------------------------------------
+# -- level-order pack tree vs the recursive Algorithm 3 oracle -----------------
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8, 16])
 def test_batched_pack_bit_identical(ctx128, sk128, galois128, enc, rng, count):
-    """pack_lwes_batched must reproduce the recursive pack byte-for-byte:
+    """pack_lwes must reproduce the recursive pack byte-for-byte:
     same merge tree, same slot order, same noise."""
     values = [int(v) for v in rng.integers(-1000, 1000, count)]
     lwes = make_lwes(ctx128, sk128, enc, values, rng)
-    ref = pack_lwes(lwes, galois128)
-    got = pack_lwes_batched(lwes, galois128)
+    ref = pack_lwes_recursive(lwes, galois128)
+    got = pack_lwes(lwes, galois128)
     assert np.array_equal(got.ct.c0, ref.ct.c0)
     assert np.array_equal(got.ct.c1, ref.ct.c1)
     assert got.count == ref.count
@@ -156,7 +152,7 @@ def test_batched_pack_decodes(ctx128, sk128, galois128, enc, rng, count):
     pack_reduction_count's level count."""
     values = [int(v) for v in rng.integers(-1000, 1000, count)]
     lwes = make_lwes(ctx128, sk128, enc, values, rng)
-    packed = pack_lwes_batched(lwes, galois128)
+    packed = pack_lwes(lwes, galois128)
     levels = max(count - 1, 0).bit_length()
     assert packed.scale_pow2 == levels
     assert packed.slot_stride == 128 >> levels
@@ -167,15 +163,20 @@ def test_batched_pack_decodes(ctx128, sk128, galois128, enc, rng, count):
     assert [int(x) for x in got] == values
 
 
-def test_batched_pack_empty_raises(galois128):
-    with pytest.raises(ValueError):
-        pack_lwes_batched([], galois128)
+def test_batched_pack_empty_raises(ctx128, galois128):
+    basis = ctx128.ct_basis
+    b = np.zeros((len(basis), 0), dtype=np.uint64)
+    a = np.zeros((len(basis), 0, 128), dtype=np.uint64)
+    with pytest.raises(ValueError, match="nothing to pack"):
+        pack_stacked_lwes(ctx128, basis, b, a, galois128)
 
 
-def test_batched_pack_too_many_raises(ctx128, sk128, galois128, enc, rng):
-    lwes = make_lwes(ctx128, sk128, enc, [0], rng) * 129
+def test_batched_pack_too_many_raises(ctx128, galois128):
+    basis = ctx128.ct_basis
+    b = np.zeros((len(basis), 129), dtype=np.uint64)
+    a = np.zeros((len(basis), 129, 128), dtype=np.uint64)
     with pytest.raises(ValueError, match="ring degree"):
-        pack_lwes_batched(lwes, galois128)
+        pack_stacked_lwes(ctx128, basis, b, a, galois128)
 
 
 @pytest.mark.parametrize("reqs,count", [(1, 4), (3, 4), (4, 7)])
