@@ -15,10 +15,11 @@ simultaneously").  This module serves that shape:
   repeat engines for the same matrix skip encoding entirely
   (``batch.cache.hit`` / ``batch.cache.miss`` counters);
 * :class:`BatchedHmvp` — the one HMVP engine: hoists each vector
-  ciphertext's forward NTT once per request, runs every row of a tile
+  ciphertext's forward NTT once per request, streams the rows of a tile
   for every request of a batch through one vectorized
-  dot/INTT/rescale/extract kernel, aggregates partial LWEs across column
-  tiles, and emits one batched pack per row tile;
+  dot/INTT/rescale/extract kernel in cache-sized row blocks, aggregates
+  partial LWEs across column tiles, and emits one batched pack per row
+  tile;
 * :class:`BatchQueue` — ``submit``/``drain`` request queue that maps a
   drained batch onto :class:`repro.hw.runtime.JobScheduler` engines so
   the simulator prices the batched schedule.
@@ -45,7 +46,7 @@ from ..he.params import CheParams
 from ..he.rlwe import RlweCiphertext
 from ..hw.runtime import Job, JobScheduler, QueueReport
 from ..math.modular import modadd_vec, modmul_vec, modneg_vec
-from ..math.ntt import freeze_array
+from ..math.ntt import block_len, freeze_array
 from ..math.rns import RnsBasis
 from .hmvp import HmvpOpCount, HmvpResult
 
@@ -66,15 +67,23 @@ def matrix_fingerprint(
 ) -> str:
     """Content fingerprint of an encoded matrix.
 
-    Hashes the matrix values together with everything the NTT-domain
-    encoding depends on (shape, ring degree, plaintext modulus, RNS
-    moduli, tiling) — a mutated matrix or a different parameter set
-    can never alias a cached encoding.
+    Hashes the matrix residues mod ``t`` (what the encoding actually
+    depends on, so ``uint64`` 2**64 - 1 and ``int64`` -1 never alias)
+    together with everything else the NTT-domain encoding depends on
+    (shape, ring degree, plaintext modulus, RNS moduli, tiling) — a
+    mutated matrix or a different parameter set can never alias a
+    cached encoding.  Raises ``TypeError`` for a non-integer matrix.
     """
+    return _digest(
+        _matrix_residues(matrix, params.plain_modulus), params, tile_rows
+    )
+
+
+def _digest(residues: np.ndarray, params: CheParams, tile_rows: int) -> str:
+    """:func:`matrix_fingerprint` of already-reduced residues."""
     h = hashlib.sha256()
-    arr = np.asarray(matrix)
     meta = (
-        arr.shape,
+        residues.shape,
         params.n,
         params.plain_modulus,
         tuple(params.ct_moduli),
@@ -82,11 +91,38 @@ def matrix_fingerprint(
         tile_rows,
     )
     h.update(repr(meta).encode())
-    if arr.dtype == object:
-        h.update(repr(arr.tolist()).encode())
-    else:
-        h.update(np.ascontiguousarray(arr.astype(np.int64)).tobytes())
+    h.update(np.ascontiguousarray(residues).tobytes())
     return h.hexdigest()
+
+
+def _matrix_residues(matrix: np.ndarray, t: int) -> np.ndarray:
+    """The (non-empty, 2-D) matrix reduced exactly into ``[0, t)``, as ``uint64``.
+
+    Integer dtypes reduce in their own signedness, widened to 64 bits
+    (never through a lossy cast); object arrays must hold integers and
+    reduce as Python ints.  Float, complex and bool matrices raise
+    ``TypeError`` rather than being silently truncated.  Reducing
+    residues again is the identity, so fingerprints of a matrix and of
+    its residues agree.
+    """
+    arr = np.asarray(matrix)
+    if arr.ndim != 2:
+        raise ValueError("matrix must be 2-D")
+    if arr.size == 0:
+        raise ValueError(f"nothing to pack: empty {arr.shape} matrix")
+    if arr.dtype == object:
+        if not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            for v in arr.flat
+        ):
+            raise TypeError("matrix entries must be integers")
+        return np.mod(arr, t).astype(np.uint64)
+    if np.issubdtype(arr.dtype, np.signedinteger):
+        # residues are non-negative, so the int64 bits read as uint64
+        return np.mod(arr.astype(np.int64, copy=False), np.int64(t)).view(np.uint64)
+    if np.issubdtype(arr.dtype, np.unsignedinteger):
+        return np.mod(arr.astype(np.uint64, copy=False), np.uint64(t))
+    raise TypeError(f"matrix must have an integer dtype, got {arr.dtype}")
 
 
 def _resolve_tile_rows(tile_rows: Optional[int], ring: int) -> int:
@@ -98,14 +134,14 @@ def _resolve_tile_rows(tile_rows: Optional[int], ring: int) -> int:
     return tile_rows
 
 
-def _encode_rows_eq1(block: np.ndarray, n: int, t: int) -> np.ndarray:
-    """Vectorized Eq. 1 row encoding of a ``(rows, width)`` block.
+def _encode_rows_eq1(reduced: np.ndarray, n: int, t: int) -> np.ndarray:
+    """Vectorized Eq. 1 row encoding of a ``(rows, width)`` residue block.
 
+    ``reduced`` holds the entries already reduced into ``[0, t)``.
     Row-for-row identical to ``CoefficientEncoder.encode_row``:
     ``pt^(A_i) = A_{i,0} - sum_{j>=1} A_{i,j} X^{N-j}``.
     """
-    rows, width = block.shape
-    reduced = np.mod(block.astype(object), t).astype(np.uint64)
+    rows, width = reduced.shape
     coeffs = np.zeros((rows, n), dtype=np.uint64)
     coeffs[:, 0] = reduced[:, 0]
     if width > 1:
@@ -161,21 +197,24 @@ class EncodedMatrix:
         matrix: np.ndarray,
         tile_rows: Optional[int] = None,
     ) -> "EncodedMatrix":
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be 2-D")
-        if matrix.size == 0:
-            raise ValueError(f"nothing to pack: empty {matrix.shape} matrix")
-        m, n_cols = matrix.shape
+        """Encode ``matrix`` (integer entries) into NTT-domain row tiles.
+
+        The matrix is reduced mod ``t`` once, exactly; the residues are
+        both hashed into the fingerprint and encoded.  Raises
+        ``TypeError`` for float, complex or bool matrices instead of
+        truncating them.
+        """
+        t = scheme.params.plain_modulus
+        residues = _matrix_residues(matrix, t)
+        m, n_cols = residues.shape
         ring = scheme.params.n
         tile_rows = _resolve_tile_rows(tile_rows, ring)
         ctx = scheme.ctx
         aug = ctx.aug_basis
-        t = scheme.params.plain_modulus
         tiles: Dict[Tuple[int, int], np.ndarray] = {}
         with obs.span("batch.encode", rows=m, cols=n_cols):
             for rt, row_start in enumerate(range(0, m, tile_rows)):
-                row_block = matrix[row_start : row_start + tile_rows]
+                row_block = residues[row_start : row_start + tile_rows]
                 for ct, col_start in enumerate(range(0, n_cols, ring)):
                     block = row_block[:, col_start : col_start + ring]
                     coeffs = _encode_rows_eq1(block, ring, t)
@@ -183,7 +222,7 @@ class EncodedMatrix:
                     tiles[(rt, ct)] = freeze_array(ctx.ntt_limbs(limbs, aug))
         col_tiles = -(-n_cols // ring)
         return cls(
-            fingerprint=matrix_fingerprint(matrix, scheme.params, tile_rows),
+            fingerprint=_digest(residues, scheme.params, tile_rows),
             shape=(m, n_cols),
             ring_n=ring,
             tile_rows=tile_rows,
@@ -254,7 +293,10 @@ class EncodedMatrixCache:
         matrix: np.ndarray,
         tile_rows: Optional[int] = None,
     ) -> EncodedMatrix:
-        key = self.key_for(scheme, matrix, tile_rows)
+        # reduce once: the residues are both the key and the encode input
+        params = scheme.params
+        residues = _matrix_residues(matrix, params.plain_modulus)
+        key = _digest(residues, params, _resolve_tile_rows(tile_rows, params.n))
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -266,7 +308,7 @@ class EncodedMatrixCache:
         obs.inc("batch.cache.miss")
         # encode outside the lock: concurrent misses on the same key do
         # redundant work but never block each other or corrupt the map
-        encoded = EncodedMatrix.encode(scheme, matrix, tile_rows=tile_rows)
+        encoded = EncodedMatrix.encode(scheme, residues, tile_rows=tile_rows)
         with self._lock:
             self.misses += 1
             self._entries[key] = encoded
@@ -353,67 +395,69 @@ class BatchedHmvp:
         """
         ctx = self.scheme.ctx
         aug = ctx.aug_basis
-        for ct in cts:
-            if not ct.is_augmented:
-                raise ValueError("vector ciphertext must be augmented")
         with obs.span("NTT", limbs=len(aug), requests=len(cts)):
-            c0n = ctx.ntt_limbs(np.stack([ct.c0 for ct in cts], axis=1), aug)
-            c1n = ctx.ntt_limbs(np.stack([ct.c1 for ct in cts], axis=1), aug)
-            return np.stack([c0n, c1n], axis=1)
+            for ct in cts:
+                if not ct.is_augmented:
+                    raise ValueError("vector ciphertext must be augmented")
+            # (2, R, L_aug, n) -> (L_aug, 2, R, n): one fused transform
+            comps = np.array([[ct.c0 for ct in cts], [ct.c1 for ct in cts]])
+            return ctx.ntt_limbs(comps.transpose(2, 0, 1, 3), aug)
 
     def _dot_extract(
-        self, tile_ntt: np.ndarray, comp: np.ndarray
+        self, rt: int, comps: Sequence[np.ndarray]
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Every row of one tile against ``R`` requests in one pass.
+        """Row tile ``rt`` against ``R`` requests, streamed by row block.
 
         Pipeline stages 1-4 (dot, INTT, rescale, extract) over the
-        ``(L_aug, rows, n)`` tile and the hoisted ``(L_aug, 2, R, n)``
-        components.  Returns the stacked partial LWEs ``(b (L, R, rows),
-        a (L, R, rows, n))``, exactly what the pack tree consumes.
+        tile's ``(L_aug, rows, n)`` column-tile stacks and the hoisted
+        ``(L_aug, 2, R, n)`` components ``comps[c]`` of each column tile
+        ``c``.  Rows stream through in blocks of :func:`block_len` rows
+        (like CHAM's rows through its macro-pipeline): each block's
+        product stack is transformed, rescaled, extracted and summed over
+        column tiles as LWEs while it is cache-resident, then written
+        into the preallocated outputs, so the ``(L_aug, 2, R, rows, n)``
+        product stack of the whole tile never exists.  Returns the
+        stacked partial LWEs ``(b (L, R, rows), a (L, R, rows, n))``,
+        exactly what the pack tree consumes.
         """
         ctx = self.scheme.ctx
         aug = ctx.aug_basis
-        rows = tile_ntt.shape[1]
-        with obs.span("batch.dot", rows=rows, requests=comp.shape[2]):
-            with obs.span("MULTPOLY", rows=rows, limbs=len(aug)):
-                # (L_aug, 1, 1, rows, n) x (L_aug, 2, R, 1, n)
-                aug_col = aug.modulus_column.reshape(-1, 1, 1, 1, 1)
-                prods = modmul_vec(
-                    tile_ntt[:, np.newaxis, np.newaxis],
-                    comp[..., np.newaxis, :],
-                    aug_col,
-                )
-            with obs.span("INTT", rows=rows, limbs=len(aug)):
-                d = ctx.intt_limbs(prods, aug)
-            with obs.span("RESCALE+EXTRACT", rows=rows):
-                r = aug.rescale_last(d)  # (L, 2, R, rows, n)
-                r0, r1 = r[:, 0], r[:, 1]
-                # vectorized EXTRACTLWES at index 0: b = c0[..0];
-                # a[0] = c1[..0], a[j] = -c1[..n-j] for j >= 1
-                b = np.ascontiguousarray(r0[..., 0])
-                a = np.empty_like(r1)
-                a[..., 0] = r1[..., 0]
-                ct_col = ctx.ct_basis.modulus_column.reshape(-1, 1, 1, 1)
-                a[..., 1:] = modneg_vec(r1[..., :0:-1], ct_col)
-        return b, a
-
-    def _row_tile(
-        self, rt: int, comps: Sequence[np.ndarray]
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Row tile ``rt`` for ``R`` requests, summed over column tiles.
-
-        ``comps[c]`` holds the hoisted components of column tile ``c``.
-        Partial dot products aggregate as LWE ciphertexts (cheap
-        additions); returns ``(b (L, R, rows), a (L, R, rows, n))``.
-        """
-        col = self.scheme.ctx.ct_basis.modulus_column
-        b, a = self._dot_extract(self.encoded.tiles[(rt, 0)], comps[0])
-        for ct_idx in range(1, self.encoded.col_tiles):
-            pb, pa = self._dot_extract(
-                self.encoded.tiles[(rt, ct_idx)], comps[ct_idx]
-            )
-            b = modadd_vec(b, pb, col.reshape(-1, 1, 1))
-            a = modadd_vec(a, pa, col.reshape(-1, 1, 1, 1))
+        tiles = [
+            self.encoded.tiles[(rt, c)] for c in range(self.encoded.col_tiles)
+        ]
+        naug, rows, n = tiles[0].shape
+        reqs = comps[0].shape[2]
+        b = np.empty((naug - 1, reqs, rows), dtype=np.uint64)
+        a = np.empty((naug - 1, reqs, rows, n), dtype=np.uint64)
+        aug_col = aug.modulus_column.reshape(-1, 1, 1, 1, 1)
+        ct_col = ctx.ct_basis.modulus_column.reshape(-1, 1, 1, 1)
+        step = block_len(naug * 2 * reqs * n * a.itemsize)
+        with obs.span("batch.dot", rows=rows, requests=reqs):
+            for lo in range(0, rows, step):
+                hi = min(lo + step, rows)
+                for c, (tile, comp) in enumerate(zip(tiles, comps)):
+                    with obs.span("MULTPOLY", rows=hi - lo, limbs=naug):
+                        # (L_aug, 1, 1, rb, n) x (L_aug, 2, R, 1, n)
+                        prods = modmul_vec(
+                            tile[:, np.newaxis, np.newaxis, lo:hi],
+                            comp[..., np.newaxis, :],
+                            aug_col,
+                        )
+                    with obs.span("INTT", rows=hi - lo, limbs=naug):
+                        d = ctx.intt_limbs(prods, aug)
+                    with obs.span("RESCALE+EXTRACT", rows=hi - lo):
+                        r = aug.rescale_last(d)  # (L, 2, R, rb, n)
+                        # vectorized EXTRACTLWES at index 0: b = c0[..0];
+                        # a[0] = c1[..0], a[j] = -c1[..n-j] for j >= 1
+                        pb = r[:, 0, ..., 0]
+                        pa = np.empty_like(r[:, 1])
+                        pa[..., 0] = r[:, 1, ..., 0]
+                        pa[..., 1:] = modneg_vec(r[:, 1, ..., :0:-1], ct_col)
+                        if c:  # column-tile partials aggregate as LWEs
+                            pb = modadd_vec(b[:, :, lo:hi], pb, ct_col[..., 0])
+                            pa = modadd_vec(a[:, :, lo:hi], pa, ct_col)
+                        b[:, :, lo:hi] = pb
+                        a[:, :, lo:hi] = pa
         return b, a
 
     def request_op_count(self) -> HmvpOpCount:
@@ -493,7 +537,7 @@ class BatchedHmvp:
         obs.inc("core.hmvp.dot_products", self.matrix.shape[0] * col_tiles)
         partials = []
         for rt in range(self.encoded.row_tiles):
-            b, a = self._row_tile(rt, comps)
+            b, a = self._dot_extract(rt, comps)
             partials.append((b[:, 0], a[:, 0]))
         return partials
 
@@ -545,7 +589,7 @@ class BatchedHmvp:
                 pack_stacked_lwes_many(
                     ctx,
                     ctx.ct_basis,
-                    *self._row_tile(rt, comps),
+                    *self._dot_extract(rt, comps),
                     self.scheme.galois_keys,
                 )
                 for rt in range(self.encoded.row_tiles)

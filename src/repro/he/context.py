@@ -49,9 +49,9 @@ class CheContext:
     def ntt_limbs(self, limbs: np.ndarray, basis: RnsBasis) -> np.ndarray:
         """Forward NTT of an RNS limb stack ``(L, ..., n)``, per-limb moduli.
 
-        One fused butterfly sweep over the whole stack (bit-identical to
-        transforming each limb separately — see
-        :class:`repro.math.ntt.FusedLimbNtt`).
+        One fused butterfly sweep over all limbs, block by cache-sized
+        block of polynomials (bit-identical to transforming each limb
+        separately — see :class:`repro.math.ntt.FusedLimbNtt`).
         """
         return self.fused_ntt(basis).forward(limbs)
 

@@ -41,6 +41,7 @@ import numpy as np
 
 from .. import obs
 from ..math.modular import modadd_vec, modneg_vec, modsub_vec
+from ..math.ntt import block_len
 from ..math.polynomial import automorph, shiftneg
 from ..math.rns import RnsBasis
 from .context import CheContext
@@ -133,19 +134,10 @@ def pack_stacked_lwes(
     nlimbs, count = b.shape
     if a.shape != (nlimbs, count, ctx.n) or nlimbs != len(basis):
         raise ValueError(f"stacked LWE shapes {b.shape} / {a.shape} mismatch")
-    c0, c1, levels, target = _pack_tree(
+    (packed,) = _pack_tree(
         ctx, basis, b[:, np.newaxis], a[:, np.newaxis], galois_keys
     )
-    obs.inc("he.pack.calls")
-    packed = RlweCiphertext(
-        ctx,
-        basis,
-        np.ascontiguousarray(c0[:, 0]),
-        np.ascontiguousarray(c1[:, 0]),
-    )
-    return PackedResult(
-        ct=packed, count=count, scale_pow2=levels, reductions=target - 1
-    )
+    return packed
 
 
 def pack_stacked_lwes_many(
@@ -170,22 +162,7 @@ def pack_stacked_lwes_many(
     nlimbs, reqs, count = b.shape
     if a.shape != (nlimbs, reqs, count, ctx.n) or nlimbs != len(basis):
         raise ValueError(f"stacked LWE shapes {b.shape} / {a.shape} mismatch")
-    c0, c1, levels, target = _pack_tree(ctx, basis, b, a, galois_keys)
-    obs.inc("he.pack.calls", reqs)
-    return [
-        PackedResult(
-            ct=RlweCiphertext(
-                ctx,
-                basis,
-                np.ascontiguousarray(c0[:, r]),
-                np.ascontiguousarray(c1[:, r]),
-            ),
-            count=count,
-            scale_pow2=levels,
-            reductions=target - 1,
-        )
-        for r in range(reqs)
-    ]
+    return _pack_tree(ctx, basis, b, a, galois_keys)
 
 
 def _pack_tree(
@@ -194,11 +171,16 @@ def _pack_tree(
     b: np.ndarray,
     a: np.ndarray,
     galois_keys: GaloisKeyset,
-) -> "tuple[np.ndarray, np.ndarray, int, int]":
+) -> List[PackedResult]:
     """The shared PACKLWES tree over ``(L, R, m)`` / ``(L, R, m, n)`` stacks.
 
-    Returns ``(c0, c1, levels, target)`` with the packed components
-    shaped ``(L, R, n)``.
+    Returns one :class:`PackedResult` per request.  The Eq. 3 embedding
+    and every level run in blocks of :func:`block_len` pairs, so no
+    level materializes temporaries over the whole stack.  Level ``k``
+    merges pair ``r`` — even ``c[:, :, r]`` with odd
+    ``c[:, :, half + r]`` — into ``c[:, :, r]`` in place: a block reads
+    ``[lo, hi)`` and ``[half + lo, half + hi)`` and writes only
+    ``[lo, hi)``, which no later block of the level reads.
     """
     nlimbs, reqs, count = b.shape
     if count < 1 or reqs < 1:
@@ -217,31 +199,51 @@ def _pack_tree(
         q_col = basis.modulus_column.reshape(-1, 1, 1, 1)
         c0 = np.zeros((nlimbs, reqs, target, n), dtype=np.uint64)
         c1 = np.zeros((nlimbs, reqs, target, n), dtype=np.uint64)
-        c0[:, :, :count, 0] = b
-        c1[:, :, :count, 0] = a[..., 0]
-        c1[:, :, :count, 1:] = modneg_vec(a[..., :0:-1], q_col)
+        # a block of pairs is sized by its key-switch digit stack, the
+        # largest operand of a merge: L_aug * L polynomials per request
+        step = block_len(len(ctx.aug_basis) * nlimbs * reqs * n * c0.itemsize)
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            c0[:, :, lo:hi, 0] = b[:, :, lo:hi]
+            c1[:, :, lo:hi, 0] = a[:, :, lo:hi, 0]
+            c1[:, :, lo:hi, 1:] = modneg_vec(a[:, :, lo:hi, :0:-1], q_col)
+        half = target
         for k in range(1, levels + 1):
-            half = c0.shape[2] // 2
+            half //= 2
+            stride = n >> k
+            g = (1 << k) + 1
             with obs.span("PACK.level", level=k, pairs=half, requests=reqs):
-                stride = n >> k
-                g = (1 << k) + 1
                 obs.inc("he.pack.reductions", half * reqs)
-                # whole-stack passes with the per-limb modulus column:
-                # SHIFTNEG / AUTOMORPH broadcast over requests, pairs
-                # and limbs; one batched key-switch covers every merge
-                # at this level across all R pack trees
-                e0, e1 = c0[:, :, :half], c1[:, :, :half]
-                o0, o1 = c0[:, :, half:], c1[:, :, half:]
-                mono0 = shiftneg(o0, stride, q_col)
-                mono1 = shiftneg(o1, stride, q_col)
-                plus0 = modadd_vec(e0, mono0, q_col)
-                plus1 = modadd_vec(e1, mono1, q_col)
-                auto0 = automorph(modsub_vec(e0, mono0, q_col), g, q_col)
-                auto1 = automorph(modsub_vec(e1, mono1, q_col), g, q_col)
-                d0, d1 = key_switch_raw(ctx, auto1, galois_keys[g])
-                c0 = modadd_vec(plus0, modadd_vec(auto0, d0, q_col), q_col)
-                c1 = modadd_vec(plus1, d1, q_col)
-    return c0[:, :, 0], c1[:, :, 0], levels, target
+                for lo in range(0, half, step):
+                    hi = min(lo + step, half)
+                    # SHIFTNEG / AUTOMORPH broadcast over requests, pairs
+                    # and limbs; one batched key-switch per block covers
+                    # its merges across all R pack trees
+                    e0, e1 = c0[:, :, lo:hi], c1[:, :, lo:hi]
+                    o0 = c0[:, :, half + lo : half + hi]
+                    o1 = c1[:, :, half + lo : half + hi]
+                    mono0 = shiftneg(o0, stride, q_col)
+                    mono1 = shiftneg(o1, stride, q_col)
+                    plus0 = modadd_vec(e0, mono0, q_col)
+                    plus1 = modadd_vec(e1, mono1, q_col)
+                    auto0 = automorph(modsub_vec(e0, mono0, q_col), g, q_col)
+                    auto1 = automorph(modsub_vec(e1, mono1, q_col), g, q_col)
+                    d0, d1 = key_switch_raw(ctx, auto1, galois_keys[g])
+                    e0[...] = modadd_vec(plus0, modadd_vec(auto0, d0, q_col), q_col)
+                    e1[...] = modadd_vec(plus1, d1, q_col)
+        # (R, L, n), so each request's ciphertext is one contiguous slab
+        r0 = np.ascontiguousarray(c0[:, :, 0].transpose(1, 0, 2))
+        r1 = np.ascontiguousarray(c1[:, :, 0].transpose(1, 0, 2))
+        obs.inc("he.pack.calls", reqs)
+        return [
+            PackedResult(
+                ct=RlweCiphertext(ctx, basis, r0[r], r1[r]),
+                count=count,
+                scale_pow2=levels,
+                reductions=target - 1,
+            )
+            for r in range(reqs)
+        ]
 
 
 def pack_reduction_count(m: int) -> int:

@@ -32,6 +32,8 @@ from .modular import modadd_vec, modinv, modmul_vec, modsub_vec
 from .primes import negacyclic_psi
 
 __all__ = [
+    "BLOCK_BYTES",
+    "block_len",
     "bit_reverse",
     "bit_reverse_indices",
     "freeze_array",
@@ -53,6 +55,23 @@ def freeze_array(arr: np.ndarray) -> np.ndarray:
     """
     arr.flags.writeable = False
     return arr
+
+
+#: Bytes one block operand of a streamed kernel may occupy.  Every large
+#: ``(L, ..., n)`` stack (the fused NTT sweep, the dot/extract row
+#: stream, the pack-tree levels) is processed in blocks of this size so
+#: the block and its temporaries stay resident in a 4 MiB L2 instead of
+#: streaming through DRAM once per butterfly stage.
+BLOCK_BYTES = 512 * 1024
+
+
+def block_len(item_bytes: int) -> int:
+    """Items per block when one item of the block operand is ``item_bytes``.
+
+    The one block-size rule shared by every streamed kernel: as many
+    items as fit :data:`BLOCK_BYTES`, and at least one.
+    """
+    return max(1, BLOCK_BYTES // item_bytes)
 
 
 def bit_reverse(x: int, bits: int) -> int:
@@ -176,18 +195,21 @@ class NegacyclicNtt:
 
 
 class FusedLimbNtt:
-    """Negacyclic NTT over a whole RNS limb stack in one butterfly sweep.
+    """Negacyclic NTT over all limbs of an RNS limb stack in one sweep.
 
     The per-limb :class:`NegacyclicNtt` path issues ``L`` separate
     transforms per stack — ``L * log2(n)`` butterfly stages of small
     NumPy calls whose interpreter overhead dominates at CHAM's ring
     sizes.  This context stacks the merged twiddle tables of all ``L``
     moduli into contiguous ``(L, 1, m, 1)`` per-stage slabs and runs
-    *one* butterfly sweep over the full ``(L, ..., n)`` stack, with the
-    per-limb modulus broadcast as a ``(L, 1, 1, 1)`` column through the
-    Barrett modmul.  Output is bit-identical per limb to the per-limb
-    path (same butterflies, same exact arithmetic) — the equivalence
-    suite pins it.
+    *one* butterfly sweep over all limbs of an ``(L, ..., n)`` stack,
+    with the per-limb modulus broadcast as a ``(L, 1, 1, 1)`` column
+    through the Barrett modmul.  A stack larger than
+    :data:`BLOCK_BYTES` is swept one block of polynomials at a time, so
+    each block stays cache-resident through all ``log2 n`` stages.
+    Output is bit-identical per limb to the per-limb path (same
+    butterflies, same exact arithmetic) — the equivalence suite pins
+    it.
 
     This is the software mirror of CHAM's limb-parallel NTT lanes
     (Section III-B): all residue channels advance through the same
@@ -216,47 +238,66 @@ class FusedLimbNtt:
         self._fwd_stages = _stage_slabs(psis, forward=True, fused=True)
         self._inv_stages = _stage_slabs(inv_psis, forward=False, fused=True)
 
-    def _prepare(self, a: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        a = np.ascontiguousarray(np.asarray(a, dtype=np.uint64))
-        if a.ndim < 2 or a.shape[0] != len(self.moduli) or a.shape[-1] != self.n:
-            raise ValueError(
-                f"expected a ({len(self.moduli)}, ..., {self.n}) limb stack, "
-                f"got shape {a.shape}"
-            )
-        return a.reshape(len(self.moduli), -1, self.n).copy(), a.shape
-
     def forward(self, a: np.ndarray) -> np.ndarray:
         """Forward NTT of every limb of a ``(L, ..., n)`` stack at once."""
-        work, shape = self._prepare(a)
-        q = self._q_col
-        for m, t, twiddle in self._fwd_stages:
-            blocks = work.reshape(work.shape[0], work.shape[1], m, 2 * t)
-            u = blocks[:, :, :, :t]
-            v = modmul_vec(blocks[:, :, :, t:], twiddle, q)
-            s = modadd_vec(u, v, q)
-            d = modsub_vec(u, v, q)
-            blocks[:, :, :, :t] = s
-            blocks[:, :, :, t:] = d
-        if _METRICS.enabled:
-            _METRICS.inc("math.ntt.forward", work.shape[0] * work.shape[1])
-        return work.reshape(shape)
+        return self._transform(a, self._fwd_stages, inverse=False)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Inverse NTT of every limb of a ``(L, ..., n)`` stack at once."""
-        work, shape = self._prepare(a)
+        return self._transform(a, self._inv_stages, inverse=True)
+
+    def _transform(self, a: np.ndarray, stages, inverse: bool) -> np.ndarray:
+        """Run ``stages`` over the stack one cache-sized block at a time.
+
+        Polynomials share no data, so each block of :func:`block_len`
+        polynomials (all limbs) is copied out, taken through every
+        butterfly stage while it stays cache-resident and written back:
+        the same arithmetic per coefficient as one whole-stack sweep, so
+        the output is byte-identical.
+        """
+        a = np.asarray(a, dtype=np.uint64)
+        nlimbs, n = len(self.moduli), self.n
+        if a.ndim < 2 or a.shape[0] != nlimbs or a.shape[-1] != n:
+            raise ValueError(
+                f"expected a ({nlimbs}, ..., {n}) limb stack, got shape {a.shape}"
+            )
+        flat = a.reshape(nlimbs, -1, n)
+        polys = flat.shape[1]
+        step = block_len(nlimbs * n * flat.itemsize)
+        if polys <= step:
+            out = self._sweep(flat.copy(), stages, inverse)
+        else:
+            out = np.empty_like(flat)
+            for lo in range(0, polys, step):
+                block = flat[:, lo : lo + step].copy()
+                out[:, lo : lo + step] = self._sweep(block, stages, inverse)
+        if _METRICS.enabled:
+            key = "math.ntt.inverse" if inverse else "math.ntt.forward"
+            _METRICS.inc(key, nlimbs * polys)
+        return out.reshape(a.shape)
+
+    def _sweep(self, work: np.ndarray, stages, inverse: bool) -> np.ndarray:
+        """Every butterfly stage over one contiguous ``(L, b, n)`` block."""
         q = self._q_col
-        for m, t, twiddle in self._inv_stages:
-            blocks = work.reshape(work.shape[0], work.shape[1], m, 2 * t)
+        nlimbs, polys = work.shape[:2]
+        for m, t, twiddle in stages:
+            blocks = work.reshape(nlimbs, polys, m, 2 * t)
             u = blocks[:, :, :, :t]
-            v = blocks[:, :, :, t:]
-            s = modadd_vec(u, v, q)
-            d = modmul_vec(modsub_vec(u, v, q), twiddle, q)
+            if inverse:
+                v = blocks[:, :, :, t:]
+                s = modadd_vec(u, v, q)
+                d = modmul_vec(modsub_vec(u, v, q), twiddle, q)
+            else:
+                # views are safe: the mod ops allocate fresh outputs, so
+                # both halves are computed before either assignment
+                v = modmul_vec(blocks[:, :, :, t:], twiddle, q)
+                s = modadd_vec(u, v, q)
+                d = modsub_vec(u, v, q)
             blocks[:, :, :, :t] = s
             blocks[:, :, :, t:] = d
-        work = modmul_vec(work, self._n_inv, self._q_flat)
-        if _METRICS.enabled:
-            _METRICS.inc("math.ntt.inverse", work.shape[0] * work.shape[1])
-        return work.reshape(shape)
+        if inverse:
+            work = modmul_vec(work, self._n_inv, self._q_flat)
+        return work
 
 
 def _stage_slabs(table: np.ndarray, forward: bool, fused: bool = False):

@@ -334,8 +334,12 @@ def profile_batched_hmvp(
     Builds a toy scheme and matrix, encodes the matrix and runs one
     warm-up request untimed (caches hot, NumPy buffers allocated), then
     clears the tracer and measures one ``multiply_batch`` over ``batch``
-    vectors.  The tracer's prior enabled-state is restored on exit;
-    prior spans are cleared (the measured run must be the only content).
+    vectors.  The warm-up runs traced too, so the tracer's own code
+    paths are warm: a cold first span exit costs tens of microseconds,
+    which would land in the structural spans' self time and read as
+    unattributed host work.  The tracer's prior enabled-state is
+    restored on exit; prior spans are cleared (the measured run must be
+    the only content).
     """
     import numpy as np
 
@@ -353,12 +357,11 @@ def profile_batched_hmvp(
     cts = [
         scheme.encrypt_vector(rng.integers(-8, 8, n)) for _ in range(batch)
     ]
-    engine.multiply_batch(cts[:1])  # warm-up: untimed, untraced
-
     was_enabled = tr.enabled
-    tr.reset()
     tr.enabled = True
     try:
+        engine.multiply_batch(cts[:1])  # warm-up: untimed, spans dropped
+        tr.reset()
         start = time.perf_counter()
         engine.multiply_batch(cts)
         wall_s = time.perf_counter() - start

@@ -13,11 +13,32 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.he.bfv import BfvScheme
-from repro.he.lwe import extract_lwe
+from repro.he.lwe import LweCiphertext, extract_lwe
 from repro.he.packing import PackedResult
 from repro.he.rlwe import RlweCiphertext
 
 from .packing import pack_lwes_recursive
+
+
+def lwes_per_row(
+    scheme: BfvScheme,
+    matrix: np.ndarray,
+    ct_tiles: Sequence[RlweCiphertext],
+) -> List[LweCiphertext]:
+    """One LWE per row: column-tile partials summed as LWEs, unpacked."""
+    matrix = np.asarray(matrix)
+    ring = scheme.params.n
+    if len(ct_tiles) != -(-matrix.shape[1] // ring):
+        raise ValueError("one vector ciphertext per column tile")
+    lwes = []
+    for row in matrix:
+        acc = None
+        for tile, ct in enumerate(ct_tiles):
+            pt = scheme.encoder.encode_row(row[tile * ring : (tile + 1) * ring])
+            lwe = extract_lwe(ct.multiply_plain(pt).rescale(), 0)
+            acc = lwe if acc is None else acc + lwe
+        lwes.append(acc)
+    return lwes
 
 
 def hmvp_per_row(
@@ -28,19 +49,11 @@ def hmvp_per_row(
 ) -> List[PackedResult]:
     """One recursive pack per row tile of ``tile_rows`` rows (default ``N``)."""
     matrix = np.asarray(matrix)
-    ring = scheme.params.n
-    tile_rows = tile_rows or ring
-    if len(ct_tiles) != -(-matrix.shape[1] // ring):
-        raise ValueError("one vector ciphertext per column tile")
-    packs = []
-    for row_start in range(0, matrix.shape[0], tile_rows):
-        lwes = []
-        for row in matrix[row_start : row_start + tile_rows]:
-            acc = None
-            for tile, ct in enumerate(ct_tiles):
-                pt = scheme.encoder.encode_row(row[tile * ring : (tile + 1) * ring])
-                lwe = extract_lwe(ct.multiply_plain(pt).rescale(), 0)
-                acc = lwe if acc is None else acc + lwe
-            lwes.append(acc)
-        packs.append(pack_lwes_recursive(lwes, scheme.galois_keys))
-    return packs
+    tile_rows = tile_rows or scheme.params.n
+    return [
+        pack_lwes_recursive(
+            lwes_per_row(scheme, matrix[start : start + tile_rows], ct_tiles),
+            scheme.galois_keys,
+        )
+        for start in range(0, matrix.shape[0], tile_rows)
+    ]

@@ -7,6 +7,7 @@ from repro import obs
 from repro.core.batch import (
     BatchedHmvp,
     BatchQueue,
+    EncodedMatrix,
     EncodedMatrixCache,
     matrix_fingerprint,
 )
@@ -155,6 +156,83 @@ def test_fingerprint_depends_on_params_and_content(scheme128, matrix):
     mutated[0, 0] += 1
     assert matrix_fingerprint(mutated, scheme128.params) != base
     assert matrix_fingerprint(matrix, scheme128.params, tile_rows=4) != base
+
+
+def _centered(values, t):
+    half = t // 2
+    return [((int(x) + half) % t) - half for x in values]
+
+
+def test_cache_keys_on_residues_not_int64_bits(scheme128):
+    """``uint64`` 2**64 - 1 and ``int64`` -1 are different matrices mod t.
+
+    The fingerprint used to hash ``astype(int64)`` bytes, where both read
+    as -1, so the second engine hit the first one's encoding and
+    decrypted the wrong answer.
+    """
+    t = scheme128.params.plain_modulus
+    v = np.arange(128) % 5 - 2
+    cache = EncodedMatrixCache()
+    for matrix in (
+        np.full((3, 128), -1, dtype=np.int64),
+        np.full((3, 128), 2**64 - 1, dtype=np.uint64),
+    ):
+        engine = BatchedHmvp(scheme128, matrix, cache=cache)
+        got = engine.multiply_one(scheme128.encrypt_vector(v)).decrypt(scheme128)
+        want = _centered(matrix.astype(object) @ v.astype(object), t)
+        assert list(got) == want, matrix.dtype
+    assert cache.misses == 2 and cache.hits == 0
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.int8, np.int64, np.uint32, np.uint64, object]
+)
+def test_encoded_tiles_match_encode_row(scheme128, dtype):
+    """Tiles are byte-identical to ``encode_row`` for every integer dtype."""
+    from repro.he.rlwe import plaintext_limbs
+
+    rng = np.random.default_rng(0xD7)
+    if dtype is object:
+        # Python ints far outside 64 bits, both signs
+        matrix = np.array(
+            [[int(x) * 3**50 for x in row] for row in rng.integers(-9, 9, (4, 100))],
+            dtype=object,
+        )
+    else:
+        info = np.iinfo(dtype)
+        matrix = rng.integers(info.min, info.max, (4, 100), dtype=dtype, endpoint=True)
+    ctx, aug = scheme128.ctx, scheme128.ctx.aug_basis
+    tile = EncodedMatrix.encode(scheme128, matrix).tiles[(0, 0)]
+    for i, row in enumerate(matrix):
+        pt = scheme128.encoder.encode_row(row)
+        want = ctx.ntt_limbs(plaintext_limbs(ctx, pt, aug), aug)
+        assert np.array_equal(tile[:, i], want), i
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[1.5, 2.7, -0.9, 3.0]]),
+        np.array([[1, 2, 3, 4]], dtype=np.complex128),
+        np.array([[True, False, True, True]]),
+        np.array([[1, 2, 3.5, 4]], dtype=object),
+    ],
+    ids=["float", "complex", "bool", "object-float"],
+)
+def test_non_integer_matrix_rejected(scheme128, matrix):
+    """Non-integer entries raise instead of being silently truncated."""
+    with pytest.raises(TypeError):
+        EncodedMatrix.encode(scheme128, matrix)
+    with pytest.raises(TypeError):
+        BatchedHmvp(scheme128, matrix, cache=EncodedMatrixCache())
+
+
+def test_object_matrix_of_python_ints_accepted(scheme128):
+    matrix = np.array([[1, -2, 3, 2**70]], dtype=object)
+    v = np.array([3, 1, -1, 1])
+    engine = BatchedHmvp(scheme128, matrix, cache=EncodedMatrixCache())
+    got = engine.multiply_one(scheme128.encrypt_vector(v)).decrypt(scheme128)
+    assert list(got) == _centered([3 - 2 - 3 + 2**70], scheme128.params.plain_modulus)
 
 
 def test_encoded_tiles_are_frozen(scheme128, matrix):

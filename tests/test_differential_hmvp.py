@@ -8,14 +8,29 @@ wrapper (:func:`repro.core.hmvp.hmvp`) and the plaintext oracle
 also equal, per RNS limb, the per-row Algorithm 1 reference in
 ``tests/oracles/hmvp.py`` (no hoisting, caching or stacking, recursive
 pack), across row tiles, ``tile_rows`` and ragged column tiles.
+
+The streamed kernels (fused NTT, dot/extract row stream, pack levels)
+cut their stacks into blocks of ``repro.math.ntt.BLOCK_BYTES``; at the
+toy ring one real block holds every row, so the block-boundary section
+shrinks the budget (one item per block, and a budget that leaves a
+ragged last block) and checks each streamed kernel per limb again.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
 from repro.core.batch import BatchedHmvp, EncodedMatrixCache
 from repro.core.hmvp import hmvp
-from tests.oracles.hmvp import hmvp_per_row
+from repro.he.lwe import LweCiphertext
+from repro.he.packing import pack_stacked_lwes_many
+from repro.math.ntt import NegacyclicNtt, fused_limb_ntt
+from tests.oracles.hmvp import hmvp_per_row, lwes_per_row
+from tests.oracles.packing import pack_lwes_recursive
+
+# the module, not the ``repro.math.ntt`` function the package re-exports
+ntt_module = importlib.import_module("repro.math.ntt")
 
 #: (rows, number of vectors) — non-power-of-two and single-row on purpose
 SHAPES = [(1, 2), (3, 1), (5, 3), (7, 2), (8, 2), (13, 1)]
@@ -141,3 +156,103 @@ def test_fused_batch_packs_match_per_row_oracle(scheme128):
     engine = BatchedHmvp(scheme128, matrix, cache=EncodedMatrixCache(), tile_rows=4)
     for result, ct in zip(engine.multiply_batch(cts), cts):
         _assert_packs_equal(result.packs, hmvp_per_row(scheme128, matrix, [ct], 4))
+
+
+# -- block boundaries ---------------------------------------------------------
+
+
+@pytest.fixture(params=[1, 13000], ids=["one-item-blocks", "ragged-blocks"])
+def small_blocks(request, monkeypatch):
+    """Shrink the streaming budget so toy shapes cross block boundaries.
+
+    ``1`` byte puts one item in every block; 13000 bytes gives the n=128
+    sites 2-6 items per block (dot rows and pack pairs 2 at R = 1, NTT
+    polynomials 4 on the augmented basis), so odd counts leave a ragged
+    last block.
+    """
+    monkeypatch.setattr(ntt_module, "BLOCK_BYTES", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("moduli", ["aug", "ct"])
+def test_fused_ntt_blocks_match_per_limb(scheme128, small_blocks, moduli):
+    basis = getattr(scheme128.ctx, f"{moduli}_basis")
+    n = scheme128.params.n
+    rng = np.random.default_rng(0xB10C)
+    stack = np.stack(
+        [rng.integers(0, q, (11, n), dtype=np.uint64) for q in basis]
+    )
+    fused = fused_limb_ntt(n, basis.moduli)
+    fwd, inv = fused.forward(stack), fused.inverse(stack)
+    for limb, q in enumerate(basis):
+        ref = NegacyclicNtt(n, q)
+        assert np.array_equal(fwd[limb], ref.forward(stack[limb])), limb
+        assert np.array_equal(inv[limb], ref.inverse(stack[limb])), limb
+
+
+def test_multiply_one_blocks_match_oracle(scheme128, small_blocks):
+    rng = np.random.default_rng(0xB10D)
+    matrix = rng.integers(-100, 100, (5, 128))
+    ct = scheme128.encrypt_vector(rng.integers(-100, 100, 128))
+    engine = BatchedHmvp(scheme128, matrix, cache=EncodedMatrixCache())
+    _assert_packs_equal(
+        engine.multiply_one(ct).packs, hmvp_per_row(scheme128, matrix, [ct])
+    )
+
+
+def test_fused_batch_blocks_match_oracle(scheme128, small_blocks):
+    rng = np.random.default_rng(0xB10E)
+    matrix = rng.integers(-100, 100, (7, 128))
+    cts = [scheme128.encrypt_vector(rng.integers(-100, 100, 128)) for _ in range(3)]
+    engine = BatchedHmvp(scheme128, matrix, cache=EncodedMatrixCache())
+    for result, ct in zip(engine.multiply_batch(cts), cts):
+        _assert_packs_equal(result.packs, hmvp_per_row(scheme128, matrix, [ct]))
+
+
+def test_column_tiles_blocks_match_oracle(scheme128, small_blocks):
+    rng = np.random.default_rng(0xB10F)
+    matrix = rng.integers(-100, 100, (5, 3 * 128 - 17))
+    cts = _encrypt_tiles(scheme128, rng.integers(-100, 100, matrix.shape[1]))
+    engine = BatchedHmvp(scheme128, matrix, cache=EncodedMatrixCache())
+    assert engine.encoded.col_tiles == 3
+    _assert_packs_equal(
+        engine.multiply_tiles(cts).packs, hmvp_per_row(scheme128, matrix, cts)
+    )
+
+
+def test_multiply_partial_blocks_match_oracle(scheme128, small_blocks):
+    """The unpacked partial LWEs, row by row, across two row tiles."""
+    rng = np.random.default_rng(0xB110)
+    matrix = rng.integers(-100, 100, (9, 2 * 128))
+    cts = _encrypt_tiles(scheme128, rng.integers(-100, 100, matrix.shape[1]))
+    engine = BatchedHmvp(
+        scheme128, matrix, cache=EncodedMatrixCache(), tile_rows=5
+    )
+    partials = engine.multiply_partial(cts)
+    want = lwes_per_row(scheme128, matrix, cts)
+    got_b = np.concatenate([b for b, _a in partials], axis=1)
+    got_a = np.concatenate([a for _b, a in partials], axis=1)
+    assert got_b.shape[1] == len(want) == 9
+    for row, lwe in enumerate(want):
+        for limb in range(len(lwe.basis)):
+            assert got_b[limb, row] == lwe.b[limb], (row, limb)
+            assert np.array_equal(got_a[limb, row], lwe.a[limb]), (row, limb)
+
+
+def test_pack_many_blocks_match_recursive(scheme128, small_blocks):
+    """Three lock-step pack trees of 5 LWEs (padded to 8) each."""
+    ctx, basis = scheme128.ctx, scheme128.ctx.ct_basis
+    n, reqs, count = scheme128.params.n, 3, 5
+    rng = np.random.default_rng(0xB111)
+    b = np.stack([rng.integers(0, q, (reqs, count), dtype=np.uint64) for q in basis])
+    a = np.stack(
+        [rng.integers(0, q, (reqs, count, n), dtype=np.uint64) for q in basis]
+    )
+    got = pack_stacked_lwes_many(ctx, basis, b, a, scheme128.galois_keys)
+    for r in range(reqs):
+        lwes = [
+            LweCiphertext(ctx, basis, b[:, r, i], a[:, r, i]) for i in range(count)
+        ]
+        _assert_packs_equal(
+            [got[r]], [pack_lwes_recursive(lwes, scheme128.galois_keys)]
+        )
